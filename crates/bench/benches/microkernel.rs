@@ -2,6 +2,11 @@
 //! 4×4 register-blocked microkernel vs the packed-panel pipeline, and
 //! the strided (generic) path.
 //!
+//! `inner_kernels_16x16x128_f64` runs every SIMD kind on the narrow
+//! 16×16×8 tile the service uses, where `simd8x32` runs the fitted
+//! 8×16 block: if the fit regresses, `simd8x32` falls behind
+//! `simd8x16` here.
+//!
 //! `packed_vs_blocked_512_f32` is the acceptance bench for the packed
 //! pipeline: a 512×512×512 f32→f32 single-thread sweep where the best
 //! packed variant must beat `mac_loop_blocked` (the `streamk bench`
@@ -80,6 +85,30 @@ fn inner_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every SIMD kind on one cache-resident 16×16×8 f64 tile, k = 128.
+fn narrow_tile_kernels(c: &mut Criterion) {
+    let shape = GemmShape::new(16, 16, 128);
+    let tile = TileShape::new(16, 16, 8);
+    let space = IterSpace::new(shape, tile);
+    let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, 5);
+    let b = Matrix::<f64>::random::<f64>(shape.k, shape.n, Layout::RowMajor, 6);
+    let iters = space.iters_per_tile();
+
+    let mut group = c.benchmark_group("inner_kernels_16x16x128_f64");
+    group.sample_size(30);
+    for kind in KernelKind::SIMD {
+        group.bench_function(kind.name(), |bencher| {
+            let mut accum = vec![0.0f64; tile.blk_m * tile.blk_n];
+            let mut bufs = PackBuffers::new();
+            bencher.iter(|| {
+                accum.fill(0.0);
+                mac_loop_kernel(kind, &a.view(), &b.view(), &space, 0, 0, iters, black_box(&mut accum), &mut bufs);
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The acceptance bench: full 512³ f32 GEMM, one thread, every tile
 /// through the kernel under test.
 fn packed_vs_blocked_512_f32(c: &mut Criterion) {
@@ -107,5 +136,5 @@ fn packed_vs_blocked_512_f32(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, inner_kernels, packed_vs_blocked_512_f32);
+criterion_group!(benches, inner_kernels, narrow_tile_kernels, packed_vs_blocked_512_f32);
 criterion_main!(benches);

@@ -8,7 +8,6 @@ use streamk_core::{
     CostModel, Decomposition, GridSizeModel, IterSpace, Phase, SpanKind, TraceWriter,
 };
 use streamk_corpus::{Corpus, CorpusConfig};
-use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{
     leaf_decomposition, mac_loop_kernel, mac_loop_kernel_cached, machine_epsilon, max_abs,
     select_kernel_on, strassen_error_bound, CpuExecutor, FaultKind, FaultPlan, GemmService,
@@ -1300,9 +1299,9 @@ fn run_profile(
     // Untraced reference first: pins the result tracing must not
     // perturb, and the zero-allocation claim (tracing off must never
     // construct a span ring).
-    let allocs_before = ring_allocations();
-    let baseline = CpuExecutor::with_threads(threads).gemm::<f64, f64>(&a, &b, &decomp);
-    let untraced_allocs = ring_allocations() - allocs_before;
+    let base_exec = CpuExecutor::with_threads(threads);
+    let baseline = base_exec.gemm::<f64, f64>(&a, &b, &decomp);
+    let untraced_allocs = base_exec.ring_allocations();
     let _ = writeln!(out, "untraced ring allocations: {untraced_allocs} (must be 0)");
 
     let exec = CpuExecutor::with_threads(threads).with_trace(true);

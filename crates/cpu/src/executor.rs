@@ -152,6 +152,7 @@ struct StatsCell {
     wait_stall_ns: AtomicU64,
     recoveries: AtomicUsize,
     launches: AtomicUsize,
+    ring_allocs: AtomicUsize,
 }
 
 /// Why a tile owner recomputed a peer's contribution.
@@ -382,6 +383,16 @@ impl CpuExecutor {
             recoveries: self.stats.recoveries.load(Ordering::Relaxed),
             launches: self.stats.launches.load(Ordering::Relaxed),
         }
+    }
+
+    /// Span rings this executor's pool workers (clones included) have
+    /// allocated so far. Cumulative. Untraced launches never move it,
+    /// and warm traced launches with an unchanged ring capacity reuse
+    /// their rings, so it only grows on a worker's first traced launch
+    /// or a capacity change.
+    #[must_use]
+    pub fn ring_allocations(&self) -> usize {
+        self.stats.ring_allocs.load(Ordering::Relaxed)
     }
 
     /// The span trace of the most recent *traced* launch on this
@@ -623,11 +634,11 @@ impl CpuExecutor {
             Vec::new()
         };
         self.worker_pool().run(&|wid, scratch| {
-            if tracing {
-                // Reuses the ring a previous launch left on this
-                // pool worker: steady-state traced launches allocate
-                // no new rings.
-                trace::reinstall(epoch, capacity);
+            // Reuses the ring a previous launch left on this pool
+            // worker: steady-state traced launches allocate no new
+            // rings.
+            if tracing && trace::reinstall(epoch, capacity) {
+                self.stats.ring_allocs.fetch_add(1, Ordering::Relaxed);
             }
             // The arena survives in the worker's scratch store across
             // launches: pack panels, accumulator tile, and the fixup

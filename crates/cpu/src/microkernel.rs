@@ -84,11 +84,14 @@ pub enum KernelKind {
     Simd4x16,
     /// SIMD `8 × 16` block (eight accumulator vectors on AVX-512).
     Simd8x16,
-    /// SIMD `8 × 32` block (sixteen AVX-512 accumulator vectors —
-    /// the default: enough independent accumulation chains to cover
-    /// the add latency of both FP ports, and the widest measured
-    /// throughput on AVX-512 hosts; non-x86 builds fall back to the
-    /// scalar block at the same shape).
+    /// SIMD `8 × 32` block — the default. On tiles wider than 16 it
+    /// keeps sixteen AVX-512 accumulator vectors in f32 (enough
+    /// independent chains to cover the add latency of both FP ports;
+    /// thirty-two in f64) and is the widest measured block on AVX-512
+    /// hosts. On tiles at most 16 wide it runs the `8 × 16` block
+    /// instead (see [`fit`](KernelKind::fit)): half of every 32-wide
+    /// vector op would land on zero padding. Non-x86 builds fall back
+    /// to the scalar block at the same shape.
     #[default]
     Simd8x32,
 }
@@ -161,6 +164,21 @@ impl KernelKind {
         self.is_packed() || self.is_simd()
     }
 
+    /// The kernel that runs on tiles `blk_n` columns wide: `Simd8x32`
+    /// narrows to `Simd8x16` when `blk_n ≤ 16`, every other kind runs
+    /// as named. [`mac_loop_kernel`], the cached dispatch and the
+    /// [`PackCache`](crate::packcache::PackCache) constructors all
+    /// apply this one rule, so cached panels always match the block
+    /// that consumes them. Results are unchanged: every block
+    /// accumulates ascending-k with unfused mul+add.
+    #[must_use]
+    pub fn fit(self, blk_n: usize) -> Self {
+        match self {
+            KernelKind::Simd8x32 if blk_n <= 16 => KernelKind::Simd8x16,
+            kind => kind,
+        }
+    }
+
     /// Register block `(MR, NR)` of the panel-consuming variants.
     #[must_use]
     pub fn register_block(self) -> Option<(usize, usize)> {
@@ -185,7 +203,8 @@ impl fmt::Display for KernelKind {
 
 /// Executes local MAC-loop iterations `[local_begin, local_end)` of
 /// `tile_idx` with `kind`'s kernel, adding into `accum` (row-major
-/// `BLK_M × BLK_N`). The one dispatch point behind every executor.
+/// `BLK_M × BLK_N`). The one dispatch point behind every executor;
+/// `kind` is first [fitted](KernelKind::fit) to the tile width.
 ///
 /// `bufs` is the caller's pack staging; untouched by the unpacked
 /// variants. [`KernelKind::Blocked`] falls back to the scalar path on
@@ -211,7 +230,7 @@ pub fn mac_loop_kernel<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    match kind {
+    match kind.fit(space.tile().blk_n) {
         KernelKind::Scalar => mac_loop_view(a, b, space, tile_idx, local_begin, local_end, accum),
         KernelKind::Blocked => {
             if a.rows_contiguous() && b.rows_contiguous() {
@@ -777,6 +796,9 @@ mod tests {
         assert_eq!(KernelKind::Packed8x4.register_block(), Some((8, 4)));
         assert_eq!(KernelKind::Simd8x32.register_block(), Some((8, 32)));
         assert_eq!(KernelKind::Scalar.register_block(), None);
+        assert_eq!(KernelKind::Simd8x32.fit(16), KernelKind::Simd8x16);
+        assert_eq!(KernelKind::Simd8x32.fit(24), KernelKind::Simd8x32);
+        assert_eq!(KernelKind::Simd4x16.fit(8), KernelKind::Simd4x16);
     }
 
     #[test]

@@ -107,6 +107,44 @@ pub struct PackCache<In> {
     fallbacks: AtomicUsize,
 }
 
+impl<In> PackCache<In> {
+    /// Number of independent slot tables.
+    #[must_use]
+    pub fn shards(&self) -> usize {
+        self.shards
+    }
+
+    /// The register block this cache packs for.
+    #[must_use]
+    pub fn register_block(&self) -> (usize, usize) {
+        (self.mr, self.nr)
+    }
+
+    /// Number of panels actually packed so far (A and B combined,
+    /// across all shards). A single-shard launch that used the cache
+    /// for every segment packs exactly [`panels`](Self::panels); a
+    /// sharded launch packs each panel at most once *per shard that
+    /// touched it*.
+    #[must_use]
+    pub fn packs(&self) -> usize {
+        self.packs.load(Ordering::Relaxed)
+    }
+
+    /// Number of watchdog-expired waits that fell back to private
+    /// packing (expected to be zero outside fault scenarios).
+    #[must_use]
+    pub fn fallbacks(&self) -> usize {
+        self.fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// Total slots this cache manages:
+    /// `shards · (tiles_m + tiles_n)`.
+    #[must_use]
+    pub fn panels(&self) -> usize {
+        self.a.len() + self.b.len()
+    }
+}
+
 impl<In: Copy + Default> PackCache<In> {
     /// A single-shard (grid-shared) cache for `space` with register
     /// block `(mr, nr)`; waiters on an in-flight pack follow
@@ -152,9 +190,9 @@ impl<In: Copy + Default> PackCache<In> {
         }
     }
 
-    /// A single-shard cache serving `kind`'s register block, or `None`
-    /// for kernels that do not consume packed panels (scalar /
-    /// blocked).
+    /// A single-shard cache serving the register block `kind` runs on
+    /// `space`'s tiles (see [`KernelKind::fit`]), or `None` for
+    /// kernels that do not consume packed panels (scalar / blocked).
     #[must_use]
     pub fn for_kernel(space: &IterSpace, kind: KernelKind, policy: WaitPolicy) -> Option<Self> {
         Self::for_kernel_sharded(space, kind, policy, 1)
@@ -169,43 +207,9 @@ impl<In: Copy + Default> PackCache<In> {
         policy: WaitPolicy,
         shards: usize,
     ) -> Option<Self> {
-        kind.register_block().map(|(mr, nr)| Self::sharded(space, mr, nr, policy, shards))
-    }
-
-    /// Number of independent slot tables.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The register block this cache packs for.
-    #[must_use]
-    pub fn register_block(&self) -> (usize, usize) {
-        (self.mr, self.nr)
-    }
-
-    /// Number of panels actually packed so far (A and B combined,
-    /// across all shards). A single-shard launch that used the cache
-    /// for every segment packs exactly [`panels`](Self::panels); a
-    /// sharded launch packs each panel at most once *per shard that
-    /// touched it*.
-    #[must_use]
-    pub fn packs(&self) -> usize {
-        self.packs.load(Ordering::Relaxed)
-    }
-
-    /// Number of watchdog-expired waits that fell back to private
-    /// packing (expected to be zero outside fault scenarios).
-    #[must_use]
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Total slots this cache manages:
-    /// `shards · (tiles_m + tiles_n)`.
-    #[must_use]
-    pub fn panels(&self) -> usize {
-        self.a.len() + self.b.len()
+        kind.fit(space.tile().blk_n)
+            .register_block()
+            .map(|(mr, nr)| Self::sharded(space, mr, nr, policy, shards))
     }
 
     /// The A row-panel for tile row `tm` in `shard`'s table, packing
@@ -334,6 +338,8 @@ fn bypass_slice<In>(
 ///
 /// Every path feeds the microkernel the same ascending-k operand
 /// sequence, so the result is bit-exact with the uncached pipeline.
+/// `kind` is [fitted](KernelKind::fit) to the tile width first, as in
+/// [`mac_loop_kernel`] and [`PackCache::for_kernel`].
 ///
 /// # Panics
 ///
@@ -355,6 +361,8 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     In: Promote<Acc>,
     Acc: Scalar,
 {
+    let tile = space.tile();
+    let kind = kind.fit(tile.blk_n);
     let fallback = |accum: &mut [Acc], bufs: &mut PackBuffers<In>| {
         mac_loop_kernel(kind, a, b, space, tile_idx, local_begin, local_end, accum, bufs);
     };
@@ -364,7 +372,6 @@ pub fn mac_loop_kernel_cached<In, Acc>(
     if local_begin >= local_end {
         return;
     }
-    let tile = space.tile();
     let (tm, tn) = space.tile_coords(tile_idx);
     let (rows, cols) = space.tile_extents(tile_idx);
 

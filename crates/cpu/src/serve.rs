@@ -31,6 +31,10 @@
 //!   batched discipline) would deadlock here: two workers blocked as
 //!   owners of *different* requests can each hold the worker the
 //!   other's peer needs.
+//! - **Panels**: each request owns a [`PackCache`] sharded by worker
+//!   (built at submission when the executor's pack cache is on), so
+//!   its CTAs share packed operand panels exactly as a single
+//!   launch's do; owner-side recovery packs privately.
 //! - **Isolation**: every CTA executes under `catch_unwind`. A panic
 //!   (or an unmaskable protocol failure) fails *that request's*
 //!   [`CompletionHandle`] and nothing else — the pool stays up, the
@@ -60,7 +64,7 @@ use crate::fault::{FaultKind, FaultPlan, ServeFaultKind};
 use crate::fixup::{FixupBoard, TryTake, WaitPolicy};
 use crate::microkernel::KernelKind;
 use crate::output::OwnedTileWriter;
-use crate::packcache::mac_loop_kernel_cached;
+use crate::packcache::{mac_loop_kernel_cached, PackCache};
 use crate::pool::ScratchStore;
 use crate::sched::GridCursor;
 use crate::telemetry::{
@@ -395,6 +399,12 @@ pub struct RequestStats {
     /// Global start order (first-claim sequence number) — `u64::MAX`
     /// if the request never started.
     pub start_seq: u64,
+    /// Operand panels packed into this request's pack cache (0 when
+    /// the executor's pack cache is off).
+    pub packs: usize,
+    /// Pack-cache waits that hit the watchdog and fell back to
+    /// private packing (0 outside fault scenarios).
+    pub pack_fallbacks: usize,
 }
 
 /// Service-level counters, snapshot via [`GemmService::stats`] (also
@@ -470,6 +480,10 @@ struct RequestCell<In, Acc> {
     decomp: Decomposition,
     peers: PeerTable,
     board: FixupBoard<Acc>,
+    /// The request's operand panels, one shard per worker (`None`
+    /// when the executor's pack cache is off or the kernel packs no
+    /// panels).
+    packs: Option<PackCache<In>>,
     writer: OwnedTileWriter<Acc>,
     cursor: GridCursor,
     tiles_done: AtomicUsize,
@@ -586,6 +600,8 @@ impl<In, Acc: Scalar> RequestCell<In, Acc> {
             service,
             latency: now.saturating_duration_since(self.submitted_at),
             start_seq,
+            packs: self.packs.as_ref().map_or(0, PackCache::packs),
+            pack_fallbacks: self.packs.as_ref().map_or(0, PackCache::fallbacks),
         }
     }
 
@@ -814,6 +830,9 @@ struct ServeShared<In, Acc> {
     workers: usize,
     watchdog: Duration,
     kernel: KernelKind,
+    /// Pack-cache shards per request, `None` with the executor's pack
+    /// cache off.
+    pack_shards: Option<usize>,
     /// Per-request span tracing on/off + ring sizing.
     trace: bool,
     trace_capacity: usize,
@@ -1167,7 +1186,7 @@ fn execute_claim<In, Acc>(
     shared.telemetry.inc(ServiceCounter::Ctas);
     let t0 = cell.tstart();
     let outcome =
-        catch_unwind(AssertUnwindSafe(|| execute_cta(shared, cell, id, &mut *ws, &mut *deferred)));
+        catch_unwind(AssertUnwindSafe(|| execute_cta(shared, cell, id, wid, &mut *ws, &mut *deferred)));
     cell.record_span(SpanKind::Cta, t0, id as u32, wid as u32);
     match outcome {
         Ok(Ok(())) => {}
@@ -1203,11 +1222,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// adaptations — owner accumulators come from the pooled partials
 /// (never `ws.accum`, so a panic can't leave the shared workspace
 /// torn), deferred records carry their request, and every segment
-/// re-checks request liveness.
+/// re-checks request liveness. Panels come from the request's pack
+/// cache, shard `wid`.
 fn execute_cta<In, Acc>(
     shared: &ServeShared<In, Acc>,
     cell: &Arc<RequestCell<In, Acc>>,
     id: usize,
+    wid: usize,
     ws: &mut Workspace<In, Acc>,
     deferred: &mut Vec<ServeDeferred<In, Acc>>,
 ) -> Result<(), ExecutorError>
@@ -1231,7 +1252,7 @@ where
         if !seg.starts_tile {
             let mut partial = ws.take_partial();
             let t0 = cell.tstart();
-            mac_loop_kernel_cached(kind, None, 0, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
+            mac_loop_kernel_cached(kind, cell.packs.as_ref(), wid, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
             cell.record_span(
                 SpanKind::Mac,
                 t0,
@@ -1257,7 +1278,7 @@ where
 
         let mut accum = ws.take_partial();
         let t0 = cell.tstart();
-        mac_loop_kernel_cached(kind, None, 0, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut accum, &mut ws.pack);
+        mac_loop_kernel_cached(kind, cell.packs.as_ref(), wid, &av, &bv, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut accum, &mut ws.pack);
         cell.record_span(
             SpanKind::Mac,
             t0,
@@ -1545,6 +1566,7 @@ where
             workers: executor.threads(),
             watchdog: executor.watchdog(),
             kernel: executor.kernel(),
+            pack_shards: executor.pack_cache().then(|| executor.pack_shards()),
             trace: config.trace,
             trace_capacity: config.trace_capacity.max(16),
             queue: Mutex::new(QueueState {
@@ -1766,6 +1788,11 @@ where
         let tile = space.tile();
         let peers = PeerTable::new(grid, &fixups);
         let (out_rows, out_cols, layout) = (shape.m, shape.n, a.layout());
+        let kernel = kernel.unwrap_or(self.shared.kernel);
+        let packs = self.shared.pack_shards.and_then(|shards| {
+            let policy = WaitPolicy::with_watchdog(self.shared.watchdog);
+            PackCache::for_kernel_sharded(space, kernel, policy, shards)
+        });
         Ok(RequestCell {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             priority,
@@ -1774,6 +1801,7 @@ where
             spans: self.shared.trace.then(|| Mutex::new(SpanRing::new(self.shared.trace_capacity))),
             peers,
             board: FixupBoard::new(grid),
+            packs,
             writer: OwnedTileWriter::new(out_rows, out_cols, layout, space.tiles()),
             cursor: GridCursor::new(grid),
             tiles_done: AtomicUsize::new(0),
@@ -1782,7 +1810,7 @@ where
             out_rows,
             out_cols,
             layout,
-            kernel: kernel.unwrap_or(self.shared.kernel),
+            kernel,
             state: AtomicU8::new(QUEUED),
             submitted_at: now,
             admit_at,

@@ -39,7 +39,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
-use streamk_core::tev::{ArgValue, TraceWriter};
+use streamk_core::tev::{escape_json, ArgValue, TraceWriter};
 use streamk_core::SpanKind;
 
 /// Admission lanes the serve layer exposes (High / Normal / Bulk).
@@ -483,22 +483,6 @@ pub struct IncidentReport {
     pub spans: Vec<Span>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl IncidentReport {
     /// Serializes the report as a self-contained JSON document.
     #[must_use]
@@ -506,7 +490,7 @@ impl IncidentReport {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n");
         s.push_str(&format!("  \"seq\": {},\n", self.seq));
-        s.push_str(&format!("  \"reason\": \"{}\",\n", json_escape(&self.reason)));
+        s.push_str(&format!("  \"reason\": \"{}\",\n", escape_json(&self.reason)));
         if self.request == u64::MAX {
             s.push_str("  \"request\": null,\n");
         } else {

@@ -16,7 +16,9 @@
 //! span* and counts it — it never blocks and never grows. When tracing
 //! is off, [`start`] is a thread-local flag check returning `None`, and
 //! [`finish`] on `None` is a no-op; nothing is allocated
-//! ([`ring_allocations`] lets tests and CI pin that to exactly zero).
+//! ([`CpuExecutor::ring_allocations`](crate::CpuExecutor::ring_allocations)
+//! counts the rings an executor's pool workers build, so tests and CI
+//! can pin that to exactly zero).
 //! Tracing never changes results: spans observe the computation,
 //! bit-exactness is pinned by tests.
 //!
@@ -30,7 +32,6 @@
 //! subcommand emits exactly that merge.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use streamk_core::tev::{ArgValue, TraceWriter};
@@ -40,17 +41,6 @@ pub use streamk_core::{Phase, SpanKind};
 /// span this is 512 KiB per worker — roomy enough that realistic
 /// launches drop nothing, small enough to stay cache-friendly.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 14;
-
-/// Ring buffers allocated process-wide since start. Tracing-off
-/// launches must not move this counter — the profile CLI and CI assert
-/// a delta of zero around an untraced run.
-static RING_ALLOCS: AtomicUsize = AtomicUsize::new(0);
-
-/// Span rings allocated process-wide since program start.
-#[must_use]
-pub fn ring_allocations() -> usize {
-    RING_ALLOCS.load(Ordering::Relaxed)
-}
 
 /// One recorded worker event: a kind, a half-open `[start, end)`
 /// nanosecond interval relative to the launch epoch, and two
@@ -89,7 +79,7 @@ pub struct SpanRing {
 
 impl SpanRing {
     /// A ring holding at most `capacity` spans; its single allocation
-    /// happens here (and is counted by [`ring_allocations`]).
+    /// happens here.
     ///
     /// # Panics
     ///
@@ -97,7 +87,6 @@ impl SpanRing {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "span ring needs capacity");
-        RING_ALLOCS.fetch_add(1, Ordering::Relaxed);
         Self { buf: Vec::with_capacity(capacity), next: 0, dropped: 0 }
     }
 
@@ -229,15 +218,24 @@ pub fn take() -> Option<WorkerTracer> {
 /// Arms tracing for a launch starting at `epoch`, reusing the ring
 /// left behind by [`collect`] when its capacity matches — on a warm
 /// persistent-pool worker, a traced launch allocates no new ring.
-pub fn reinstall(epoch: Instant, capacity: usize) {
-    TRACER.with(|t| {
+/// Returns `true` when it had to allocate one; the executor counts
+/// those per pool.
+pub fn reinstall(epoch: Instant, capacity: usize) -> bool {
+    let allocated = TRACER.with(|t| {
         let mut slot = t.borrow_mut();
         match slot.as_mut() {
-            Some(tracer) if tracer.ring.capacity() == capacity => tracer.reset(epoch),
-            _ => *slot = Some(WorkerTracer::new(epoch, capacity)),
+            Some(tracer) if tracer.ring.capacity() == capacity => {
+                tracer.reset(epoch);
+                false
+            }
+            _ => {
+                *slot = Some(WorkerTracer::new(epoch, capacity));
+                true
+            }
         }
     });
     ACTIVE.with(|a| a.set(true));
+    allocated
 }
 
 /// Disables recording and copies this launch's spans out, leaving the
@@ -588,13 +586,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_allocation_counter_counts_constructions() {
-        // The counter is process-global and other tests allocate rings
-        // concurrently, so only monotonic claims are safe here; "push
-        // never allocates" is pinned by `ring_never_reallocates`.
-        let before = ring_allocations();
-        let _ring = SpanRing::new(8);
-        assert!(ring_allocations() > before);
+    fn reinstall_allocates_only_for_a_new_capacity() {
+        // Thread-local state: each test runs on its own thread, so the
+        // first arm always starts from an empty slot.
+        let epoch = Instant::now();
+        assert!(reinstall(epoch, 8), "first arm builds a ring");
+        assert!(collect().is_some());
+        assert!(!reinstall(epoch, 8), "same capacity reuses the ring");
+        assert!(collect().is_some());
+        assert!(reinstall(epoch, 16), "a new capacity builds a new ring");
+        assert!(collect().is_some());
+        assert!(take().is_some());
     }
 
     #[test]

@@ -443,3 +443,71 @@ fn kernel_override_survives_fault_recovery() {
     assert!(stats.recoveries >= 1, "the lost contribution must be recovered");
     service.shutdown();
 }
+
+/// A narrow-tile (16-wide) f64 grid with split tiles: the shape class
+/// the service runs, where the fitted `8 × 16` block and the
+/// per-request pack cache both engage.
+fn narrow_split_launch() -> (GemmShape, Decomposition) {
+    let shape = GemmShape::new(80, 48, 96);
+    let decomp = Decomposition::stream_k(shape, TileShape::new(16, 16, 8), 4);
+    assert!(decomp.split_tiles() > 0, "the test grid must cross tile seams");
+    (shape, decomp)
+}
+
+#[test]
+fn narrow_tile_requests_match_direct_gemm_with_and_without_pack_cache() {
+    let (shape, decomp) = narrow_split_launch();
+    let (a, b) = operands(shape, 31);
+    let baseline = exec(4).gemm::<f64, f64>(&a, &b, &decomp);
+    for cache in [true, false] {
+        let e = exec(4).with_pack_cache(cache);
+        assert_eq!(e.gemm::<f64, f64>(&a, &b, &decomp).max_abs_diff(&baseline), 0.0);
+        let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+        let handles: Vec<_> = (0..4)
+            .map(|_| service.submit(LaunchRequest::new(a.clone(), b.clone(), decomp.clone())).unwrap())
+            .collect();
+        for handle in handles {
+            let (c, stats) = handle.wait().expect("fault-free request completes");
+            assert_eq!(c.max_abs_diff(&baseline), 0.0, "cache={cache}");
+            assert_eq!(stats.packs > 0, cache, "cache={cache}: packs {}", stats.packs);
+            assert_eq!(stats.pack_fallbacks, 0, "cache={cache}");
+        }
+        assert_eq!(service.shutdown().completed, 4);
+    }
+}
+
+#[test]
+fn pack_cache_requests_recover_bit_exactly_and_survive_a_panicking_sibling() {
+    let (shape, decomp) = narrow_split_launch();
+    let (a, b) = operands(shape, 37);
+    let e = exec(4);
+    assert!(e.pack_cache(), "the executor's pack cache is on by default");
+    let baseline = e.gemm::<f64, f64>(&a, &b, &decomp);
+
+    let victims = FaultPlan::contributors(&decomp);
+    assert!(victims.len() >= 3, "need three contributors to fault");
+    let plan = FaultPlan::single(victims[0], FaultKind::Lose)
+        .with_fault(victims[1], FaultKind::Poison)
+        .with_fault(victims[2], FaultKind::Straggle(WATCHDOG / 8));
+
+    let service = GemmService::<f64, f64>::start(&e, ServeConfig::default());
+    let submit = |req: LaunchRequest<f64>| service.submit(req).unwrap();
+    let request = || LaunchRequest::new(a.clone(), b.clone(), decomp.clone());
+    let clean = submit(request());
+    let faulted = submit(request().with_cta_faults(plan.clone()));
+    let bomb = submit(request().with_serve_fault(ServeFaultKind::PanicCta));
+    let after = submit(request());
+
+    assert!(matches!(bomb.wait(), Err(ServeError::Panicked { .. })), "the panic fails its request");
+    let (c, stats) = faulted.wait().expect("lost and poisoned peers are recovered");
+    assert_eq!(c.max_abs_diff(&baseline), 0.0, "recovery through the pack cache diverged");
+    assert!(stats.recoveries >= 2, "lose + poison must both recover: {stats:?}");
+    assert!(stats.packs > 0);
+    for handle in [clean, after] {
+        let (c, stats) = handle.wait().expect("siblings of a panicking request complete");
+        assert_eq!(c.max_abs_diff(&baseline), 0.0, "sibling diverged");
+        assert!(stats.packs > 0 && stats.pack_fallbacks == 0, "{stats:?}");
+    }
+    let totals = service.shutdown();
+    assert_eq!((totals.completed, totals.panicked, totals.pool_poisonings), (3, 1, 0));
+}

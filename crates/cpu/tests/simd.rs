@@ -286,3 +286,65 @@ fn executor_with_cache_is_bit_exact_across_thread_counts() {
         assert_eq!(c.max_abs_diff(&dp_ref), 0.0, "data-parallel threads={threads} diverged");
     }
 }
+
+/// Runs every SIMD kind on a `16 × blk_n` tile grid in `T` precision:
+/// the private and the cached dispatch must both be bit-identical to
+/// `Scalar`, the cache must pack for exactly the block the dispatch
+/// runs ([`KernelKind::fit`]), and a cached run must actually use the
+/// cache. A cache/dispatch disagreement would not change any result —
+/// the cached dispatch would just drop the cache — so `packs() > 0` is
+/// the check that catches it.
+fn check_kernel_fit<T>(blk_n: usize)
+where
+    T: streamk_matrix::Promote<T> + streamk_matrix::Scalar,
+{
+    let tile = TileShape::new(16, blk_n, 8);
+    // Ragged in every dimension: partial last tile row and column.
+    let shape = GemmShape::new(37, 2 * blk_n + 5, 53);
+    let space = IterSpace::new(shape, tile);
+    let a = Matrix::<T>::random::<T>(shape.m, shape.k, Layout::RowMajor, blk_n as u64);
+    let b = Matrix::<T>::random::<T>(shape.k, shape.n, Layout::RowMajor, blk_n as u64 + 1);
+    let (av, bv) = (a.view(), b.view());
+    let ipt = space.iters_per_tile();
+    let len = tile.blk_m * tile.blk_n;
+    let mut bufs = PackBuffers::new();
+    for kind in KernelKind::SIMD {
+        let fitted = kind.fit(blk_n);
+        let expect_block = if kind == KernelKind::Simd8x32 && blk_n <= 16 {
+            (8, 16)
+        } else {
+            kind.register_block().unwrap()
+        };
+        assert_eq!(fitted.register_block(), Some(expect_block), "{kind} at blk_n {blk_n}");
+        let cache = PackCache::for_kernel(&space, kind, WaitPolicy::default()).unwrap();
+        assert_eq!(cache.register_block(), expect_block, "{kind} cache at blk_n {blk_n}");
+        for tile_idx in 0..space.tiles() {
+            for (lo, hi) in [(0, ipt), (1, ipt), (0, 1)] {
+                let mut reference = vec![T::ZERO; len];
+                mac_loop_kernel(KernelKind::Scalar, &av, &bv, &space, tile_idx, lo, hi, &mut reference, &mut bufs);
+                let mut got = vec![T::ZERO; len];
+                mac_loop_kernel(kind, &av, &bv, &space, tile_idx, lo, hi, &mut got, &mut bufs);
+                assert!(got == reference, "{kind} private, blk_n {blk_n}, tile {tile_idx} [{lo},{hi})");
+                let mut cached = vec![T::ZERO; len];
+                mac_loop_kernel_cached(kind, Some(&cache), 0, &av, &bv, &space, tile_idx, lo, hi, &mut cached, &mut bufs);
+                assert!(cached == reference, "{kind} cached, blk_n {blk_n}, tile {tile_idx} [{lo},{hi})");
+            }
+        }
+        assert_eq!(cache.packs(), cache.panels(), "{kind} at blk_n {blk_n}: the cached run bypassed its cache");
+        assert_eq!(cache.fallbacks(), 0);
+    }
+}
+
+#[test]
+fn register_block_fits_the_tile_f64() {
+    for blk_n in [8, 16, 24, 32, 64] {
+        check_kernel_fit::<f64>(blk_n);
+    }
+}
+
+#[test]
+fn register_block_fits_the_tile_f32() {
+    for blk_n in [8, 16, 24, 32, 64] {
+        check_kernel_fit::<f32>(blk_n);
+    }
+}

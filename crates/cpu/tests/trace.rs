@@ -7,7 +7,9 @@
 //!    untraced run of the same launch, across thread counts — spans
 //!    observe the computation, they never change it.
 //! 2. **Bounded overhead**: with tracing off, no span ring is ever
-//!    allocated; with tracing on, warm pool workers reuse the rings
+//!    allocated (the executor counts its own pool's rings, so tests
+//!    running in parallel cannot disturb the count); with tracing on,
+//!    warm pool workers reuse the rings
 //!    of previous launches, and a full ring drops the *oldest* spans
 //!    and counts them instead of blocking or growing.
 //! 3. **Structural sanity**: per worker, recorded spans are laminar
@@ -15,17 +17,11 @@
 //!    wall time — the Chrome-trace export inherits well-nestedness
 //!    from this.
 
-use std::sync::Mutex;
 use std::time::Duration;
 use streamk_core::{Decomposition, SpanKind};
-use streamk_cpu::trace::ring_allocations;
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan};
 use streamk_matrix::Matrix;
 use streamk_types::{GemmShape, Layout, TileShape};
-
-/// Serializes tests that assert on the process-global ring-allocation
-/// counter against the traced launches in this binary.
-static ALLOC_GATE: Mutex<()> = Mutex::new(());
 
 fn operands(shape: GemmShape, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
     let a = Matrix::<f64>::random::<f64>(shape.m, shape.k, Layout::RowMajor, seed);
@@ -128,29 +124,26 @@ fn full_ring_drops_oldest_and_counts_without_blocking() {
 
 #[test]
 fn tracing_off_allocates_no_rings() {
-    let _gate = ALLOC_GATE.lock().unwrap();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7A6);
     let exec = CpuExecutor::with_threads(4);
-    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp); // warm the pool
-    let before = ring_allocations();
     let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
-    assert_eq!(ring_allocations(), before, "untraced launch allocated a span ring");
+    let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
+    assert_eq!(exec.ring_allocations(), 0, "untraced launch allocated a span ring");
     assert!(exec.last_trace().is_none(), "untraced executor must not fabricate a trace");
 }
 
 #[test]
 fn traced_launches_reuse_rings_once_warm() {
-    let _gate = ALLOC_GATE.lock().unwrap();
     let (_, _, decomp) = split_launch();
     let (a, b) = operands(GemmShape::new(96, 80, 128), 0x7AA);
     let exec = CpuExecutor::with_threads(4).with_trace(true);
     // First traced launch allocates one ring per pool worker...
     let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
-    let before = ring_allocations();
+    assert_eq!(exec.ring_allocations(), 4, "one ring per pool worker");
     // ...and steady-state traced launches reuse them.
     let _ = exec.gemm::<f64, f64>(&a, &b, &decomp);
-    assert_eq!(ring_allocations(), before, "warm traced launch allocated a new span ring");
+    assert_eq!(exec.ring_allocations(), 4, "warm traced launch allocated a new span ring");
     let trace = exec.last_trace().unwrap();
     assert!(trace.total_spans() > 0, "reused rings must still record spans");
     assert!(
@@ -161,7 +154,6 @@ fn traced_launches_reuse_rings_once_warm() {
 
 #[test]
 fn stats_overwrite_per_launch_and_launches_accumulate() {
-    let _gate = ALLOC_GATE.lock().unwrap();
     let shape = GemmShape::new(96, 80, 128);
     let tile = TileShape::new(32, 32, 16);
     let (a, b) = operands(shape, 0x7A8);
