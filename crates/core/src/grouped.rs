@@ -14,7 +14,8 @@
 //! All instances share one blocking factor (one kernel — the paper's
 //! single-kernel story), but may differ in every problem extent.
 
-use crate::decomposition::balanced_ranges;
+use crate::batched::BatchedDecomposition;
+use crate::decomposition::{balanced_ranges, Decomposition};
 use crate::space::IterSpace;
 use crate::work::{CtaWork, TileFixup};
 use streamk_types::{GemmShape, TileShape};
@@ -60,7 +61,12 @@ impl GroupedSpace {
     #[must_use]
     pub fn new(shapes: &[GemmShape], tile: TileShape) -> Self {
         assert!(!shapes.is_empty(), "grouped GEMM needs at least one instance");
-        let instances: Vec<IterSpace> = shapes.iter().map(|&s| IterSpace::new(s, tile)).collect();
+        Self::from_spaces(shapes.iter().map(|&s| IterSpace::new(s, tile)).collect())
+    }
+
+    /// Concatenates already-built instance spaces (which keep their
+    /// tile orders); every instance must share one blocking factor.
+    fn from_spaces(instances: Vec<IterSpace>) -> Self {
         let mut iter_offsets = Vec::with_capacity(instances.len() + 1);
         let mut tile_offsets = Vec::with_capacity(instances.len() + 1);
         let (mut it, mut tl) = (0usize, 0usize);
@@ -127,22 +133,23 @@ impl GroupedSpace {
     }
 
     /// Splits a CTA's contiguous global range into
-    /// [`GroupedSegment`]s, crossing tile and instance boundaries.
-    #[must_use]
-    pub fn segments(&self, cta: &CtaWork) -> Vec<GroupedSegment> {
-        let mut out = Vec::new();
+    /// [`GroupedSegment`]s, crossing tile and instance boundaries, in
+    /// execution order.
+    pub fn segments<'s>(&'s self, cta: &CtaWork) -> impl Iterator<Item = GroupedSegment> + 's {
+        let end = cta.iter_end;
         let mut iter = cta.iter_begin;
-        while iter < cta.iter_end {
+        std::iter::from_fn(move || {
+            if iter >= end {
+                return None;
+            }
             let instance = self.instance_of(iter);
-            let space = &self.instances[instance];
             let base = self.iter_offsets[instance];
-            let local_iter = iter - base;
-            let ipt = space.iters_per_tile();
-            let local_tile = local_iter / ipt;
+            let ipt = self.instances[instance].iters_per_tile();
+            let local_tile = (iter - base) / ipt;
             let tile_first = base + local_tile * ipt;
             let tile_end = tile_first + ipt;
-            let seg_end = cta.iter_end.min(tile_end);
-            out.push(GroupedSegment {
+            let seg_end = end.min(tile_end);
+            let seg = GroupedSegment {
                 instance,
                 local_tile,
                 global_tile: self.tile_offsets[instance] + local_tile,
@@ -150,10 +157,19 @@ impl GroupedSpace {
                 local_end: seg_end - tile_first,
                 starts_tile: iter == tile_first,
                 ends_tile: seg_end == tile_end,
-            });
+            };
             iter = seg_end;
-        }
-        out
+            Some(seg)
+        })
+    }
+
+    /// The segment `peer` contributes to global tile `global_tile`, or
+    /// `None` if it contributes no partials there — the grouped form
+    /// of [`peer_contribution`](crate::peer_contribution), from which a
+    /// tile owner recomputes a missing peer's exact k-range.
+    #[must_use]
+    pub fn peer_contribution(&self, peer: &CtaWork, global_tile: usize) -> Option<GroupedSegment> {
+        self.segments(peer).find(|seg| seg.global_tile == global_tile && !seg.starts_tile)
     }
 }
 
@@ -293,6 +309,26 @@ impl GroupedDecomposition {
     }
 }
 
+/// A single GEMM as a group of one: identical CTA ranges, and the
+/// instance keeps its [`TileOrder`](crate::TileOrder).
+impl From<&Decomposition> for GroupedDecomposition {
+    fn from(decomp: &Decomposition) -> Self {
+        let space = GroupedSpace::from_spaces(vec![decomp.space().clone()]);
+        Self { space, ctas: decomp.ctas().to_vec(), grid: decomp.grid_size() }
+    }
+}
+
+/// A uniform batch as the group of its identical instances, with
+/// identical CTA ranges (the batch's `batch → m → n → k` order is the
+/// group's concatenation order).
+impl From<&BatchedDecomposition> for GroupedDecomposition {
+    fn from(decomp: &BatchedDecomposition) -> Self {
+        let batched = decomp.space();
+        let space = GroupedSpace::from_spaces(vec![batched.instance().clone(); batched.batch()]);
+        Self { space, ctas: decomp.ctas().to_vec(), grid: decomp.grid_size() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,7 +362,7 @@ mod tests {
         let s = mixed_space();
         // A CTA spanning the end of instance 0 and start of instance 1.
         let cta = CtaWork { cta_id: 0, iter_begin: 14, iter_end: 30 };
-        let segs = s.segments(&cta);
+        let segs: Vec<_> = s.segments(&cta).collect();
         // [14,16): tail of instance 0 tile 3; [16,24): instance 1 tile
         // 0 iters 0..8 (whole); [24,30): instance 1 tile 1 iters 0..6.
         assert_eq!(segs.len(), 3);
@@ -376,6 +412,60 @@ mod tests {
         let grouped = GroupedDecomposition::stream_k(GroupedSpace::new(&[shape], tile), 5);
         let plain = crate::Decomposition::stream_k(shape, tile, 5);
         assert_eq!(grouped.ctas(), plain.ctas());
+    }
+
+    #[test]
+    fn decomposition_converts_to_a_group_of_one() {
+        let shape = GemmShape::new(96, 80, 640);
+        let tile = TileShape::new(32, 32, 16);
+        for d in [
+            Decomposition::stream_k(shape, tile, 7),
+            Decomposition::fixed_split(shape, tile, 3),
+            Decomposition::two_tile_stream_k_dp(shape, tile, 4)
+                .with_tile_order(crate::TileOrder::Morton),
+        ] {
+            let g = GroupedDecomposition::from(&d);
+            assert_eq!(g.space().instances(), std::slice::from_ref(d.space()), "keeps the tile order");
+            assert_eq!(g.ctas(), d.ctas());
+            assert_eq!(g.grid_size(), d.grid_size());
+            assert_eq!(g.fixups(), d.fixups());
+            assert!(g.validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn batch_converts_to_the_uniform_group() {
+        let (shape, tile) = (GemmShape::new(48, 40, 64), TileShape::new(16, 16, 8));
+        let b = BatchedDecomposition::stream_k(crate::BatchedSpace::new(5, shape, tile), 7);
+        let g = GroupedDecomposition::from(&b);
+        assert_eq!(g.space(), &GroupedSpace::uniform(shape, 5, tile));
+        assert_eq!(g.ctas(), b.ctas());
+        assert_eq!(g.fixups(), b.fixups());
+        assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn peer_contributions_reconstruct_every_fixup() {
+        // For every split tile, the peers' recomputed ranges and the
+        // owner's own segment exactly tile the tile's iterations.
+        let d = GroupedDecomposition::stream_k(mixed_space(), 5);
+        let s = d.space();
+        let mut split = 0;
+        for f in d.fixups() {
+            let seg_len = |seg: GroupedSegment| seg.local_end - seg.local_begin;
+            let covered: usize = f
+                .peers
+                .iter()
+                .map(|&p| s.peer_contribution(&d.ctas()[p], f.tile_idx).map_or(0, seg_len))
+                .sum();
+            let owner_cta = &d.ctas()[f.owner];
+            let own = s.segments(owner_cta).find(|g| g.global_tile == f.tile_idx).expect("owner covers its tile");
+            let ipt = s.instances()[own.instance].iters_per_tile();
+            assert_eq!(covered + seg_len(own), ipt, "tile {}", f.tile_idx);
+            assert!(s.peer_contribution(owner_cta, f.tile_idx).is_none(), "owners contribute no partials");
+            split += usize::from(!f.peers.is_empty());
+        }
+        assert!(split > 0, "the fixture must have split seams");
     }
 
     #[test]

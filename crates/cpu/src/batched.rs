@@ -1,20 +1,15 @@
 //! Batched GEMM execution — one Stream-K grid across many instances.
 //!
-//! Executes a [`BatchedDecomposition`]: a single pool of workers
-//! processes the batch's aggregate iteration space, crossing instance
-//! boundaries exactly as single-GEMM Stream-K crosses tile
-//! boundaries. One launch, one consolidation board, regardless of
-//! batch size.
+//! A [`BatchedDecomposition`] is the uniform case of a grouped one:
+//! its `batch → m → n → k` order is the concatenation of identical
+//! instance spaces. A batched launch therefore converts into that
+//! group (identical CTA ranges) and runs through
+//! [`gemm_grouped`](CpuExecutor::gemm_grouped) — the executor's one
+//! grid loop, crossing instance boundaries exactly as single-GEMM
+//! Stream-K crosses tile boundaries.
 
 use crate::executor::CpuExecutor;
-use crate::fixup::{FixupBoard, WaitPolicy};
-use crate::output::TileWriter;
-use crate::packcache::{mac_loop_kernel_cached, PackCache};
-use crate::sched::GridCursor;
-use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use streamk_core::{BatchedDecomposition, PeerTable};
+use streamk_core::{BatchedDecomposition, GroupedDecomposition};
 use streamk_matrix::{Matrix, Promote, Scalar};
 
 impl CpuExecutor {
@@ -37,144 +32,14 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        let instance = space.instance();
-        let shape = instance.shape();
-        assert_eq!(a.len(), space.batch(), "need one A per instance");
-        assert_eq!(b.len(), space.batch(), "need one B per instance");
-        for (i, (ai, bi)) in a.iter().zip(b).enumerate() {
-            assert_eq!((ai.rows(), ai.cols()), (shape.m, shape.k), "A[{i}] must be m x k");
-            assert_eq!((bi.rows(), bi.cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-        }
-        decomp.validate().expect("invalid batched decomposition");
-
-        let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        assert!(
-            max_covering <= self.threads(),
-            "decomposition needs {max_covering} co-resident CTAs but the executor has {} threads",
-            self.threads()
-        );
-        // Flat CSR peer table — no per-launch Vec-of-Vec cloning.
-        let owner_peers = PeerTable::new(decomp.grid_size(), &fixups);
-
-        let tile = instance.tile();
-        let mut outputs: Vec<Matrix<Acc>> = (0..space.batch())
-            .map(|i| Matrix::<Acc>::zeros(shape.m, shape.n, a[i].layout()))
-            .collect();
-        let tiles_per_instance = space.tiles_per_instance();
-        let writers: Vec<TileWriter<'_, Acc>> = outputs
-            .iter_mut()
-            .map(|c| {
-                let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-                TileWriter::new(c.as_mut_slice(), rows, cols, layout, tiles_per_instance)
-            })
-            .collect();
-
-        let board = FixupBoard::<Acc>::new(decomp.grid_size());
-        let cursor = GridCursor::new(decomp.grid_size());
-        let ctas = decomp.ctas();
-        let ipt = space.iters_per_tile();
-
-        let kind = self.kernel();
-        // One pack cache per instance (instances have distinct
-        // operands); empty when caching is off or the kernel does not
-        // consume panels, in which case `get` hands the dispatcher
-        // `None` and it packs privately.
-        let policy = WaitPolicy::with_watchdog(self.watchdog());
-        let caches: Vec<PackCache<In>> = if self.pack_cache() {
-            (0..space.batch()).filter_map(|_| PackCache::for_kernel(instance, kind, policy)).collect()
-        } else {
-            Vec::new()
-        };
-        // Round-robin cursor claiming (not the single-GEMM path's
-        // static ranges): batched owners *block* in `wait_and_take`,
-        // and the round-robin order guarantees a blocked owner's peers
-        // are already claimed by other workers.
-        let tile_len = tile.blk_m * tile.blk_n;
-        let wait_ns = AtomicU64::new(0);
-        self.worker_pool().run(&|wid, scratch| {
-            // Per-worker arena from the persistent pool's scratch
-            // store: accumulator, pack panels, and the fixup-partial
-            // pool stay warm across segments *and* across launches.
-            let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.ensure_tile_len(tile_len);
-            while let Some(id) = cursor.claim() {
-                let cta = &ctas[id];
-                // Walk the CTA's global range tile by tile (the
-                // batched analogue of Algorithm 5's outer loop).
-                let mut iter = cta.iter_begin;
-                while iter < cta.iter_end {
-                    let global_tile = iter / ipt;
-                    let tile_first = global_tile * ipt;
-                    let seg_end = cta.iter_end.min(tile_first + ipt);
-                    let (instance_idx, local_tile) = space.locate(global_tile);
-
-                    let starts = iter == tile_first;
-                    let ends = seg_end == tile_first + ipt;
-                    if !starts {
-                        let mut partial = ws.take_partial();
-                        mac_loop_kernel_cached(
-                            kind,
-                            caches.get(instance_idx),
-                            wid,
-                            &a[instance_idx].view(),
-                            &b[instance_idx].view(),
-                            instance,
-                            local_tile,
-                            iter - tile_first,
-                            seg_end - tile_first,
-                            &mut partial,
-                            &mut ws.pack,
-                        );
-                        board
-                            .store_and_signal(cta.cta_id, partial)
-                            .expect("fault-free batched schedule");
-                    } else {
-                        ws.reset_accum();
-                        mac_loop_kernel_cached(
-                            kind,
-                            caches.get(instance_idx),
-                            wid,
-                            &a[instance_idx].view(),
-                            &b[instance_idx].view(),
-                            instance,
-                            local_tile,
-                            iter - tile_first,
-                            seg_end - tile_first,
-                            &mut ws.accum,
-                            &mut ws.pack,
-                        );
-                        if !ends {
-                            for &peer in owner_peers.peers(cta.cta_id) {
-                                let t0 = Instant::now();
-                                let partial = board.wait_and_take(peer);
-                                wait_ns.fetch_add(
-                                    t0.elapsed().as_nanos() as u64,
-                                    Ordering::Relaxed,
-                                );
-                                for (acc, p) in ws.accum.iter_mut().zip(&partial) {
-                                    *acc += *p;
-                                }
-                                ws.recycle_partial(partial);
-                            }
-                        }
-                        let (rows, cols) = instance.tile_extents(local_tile);
-                        writers[instance_idx].store_tile(local_tile, rows, cols, tile.blk_n, &ws.accum);
-                    }
-                    iter = seg_end;
-                }
-            }
-        });
-        self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
-        drop(writers);
-        outputs
+        self.gemm_grouped(a, b, &GroupedDecomposition::from(decomp))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grouped::tests::assert_faults_recover_bit_exact;
     use streamk_core::BatchedSpace;
     use streamk_matrix::reference::gemm_naive;
     use streamk_types::{GemmShape, Layout, TileShape};
@@ -249,5 +114,31 @@ mod tests {
         let (a, b) = instances(2, shape, 5);
         let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(3, shape, tile), 3);
         let _ = CpuExecutor::with_threads(3).gemm_batched::<f64, f64>(&a, &b, &decomp);
+    }
+
+    #[test]
+    fn faulted_contributors_recover_bit_exact() {
+        let shape = GemmShape::new(19, 23, 64);
+        let tile = TileShape::new(16, 16, 8);
+        let (a, b) = instances(3, shape, 6);
+        let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(3, shape, tile), 7);
+        assert_faults_recover_bit_exact(&a, &b, &GroupedDecomposition::from(&decomp), 7);
+    }
+
+    /// A batch is the uniform group: bit-identical to `gemm_grouped`
+    /// on the same shapes and grid.
+    #[test]
+    fn batch_is_bit_identical_to_the_uniform_group() {
+        let shape = GemmShape::new(37, 29, 72);
+        let tile = TileShape::new(16, 16, 8);
+        let (a, b) = instances(4, shape, 7);
+        let exec = CpuExecutor::with_threads(5);
+        let decomp = BatchedDecomposition::stream_k(BatchedSpace::new(4, shape, tile), 5);
+        let batched = exec.gemm_batched::<f64, f64>(&a, &b, &decomp);
+        let space = streamk_core::GroupedSpace::uniform(shape, 4, tile);
+        let grouped = exec.gemm_grouped::<f64, f64>(&a, &b, &GroupedDecomposition::stream_k(space, 5));
+        for (x, y) in batched.iter().zip(&grouped) {
+            assert_eq!(x.max_abs_diff(y), 0.0);
+        }
     }
 }

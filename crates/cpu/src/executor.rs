@@ -1,6 +1,12 @@
 //! The grid executor.
 //!
-//! Three entry tiers share one grid loop:
+//! One grid loop runs every single-launch entry point. A launch is a
+//! group of problems sharing one blocking factor (a
+//! [`GroupedDecomposition`]): `gemm*` is a group of one, and the
+//! batched and grouped entries ([`crate::batched`],
+//! [`crate::grouped`]) and the direct Strassen burst
+//! ([`crate::strassen`]) are groups of many. Three entry tiers share
+//! the loop:
 //!
 //! - [`CpuExecutor::gemm`] / [`CpuExecutor::gemm_ex`] — the legacy
 //!   panicking surface (validation bugs are programmer errors);
@@ -10,7 +16,7 @@
 //!   the fixup protocol and *recovers*: when a peer's signal times out
 //!   under the watchdog or its record is poisoned, the tile owner
 //!   recomputes the peer's exact contribution from its static
-//!   [`CtaWork`] descriptor ([`streamk_core::peer_contribution`]) and
+//!   [`CtaWork`] descriptor ([`GroupedSpace::peer_contribution`]) and
 //!   carries on. The recomputation runs the same MAC kernel over the
 //!   same local range and is accumulated at the same point in peer
 //!   order, so the recovered output is bit-identical to the
@@ -18,7 +24,7 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::fixup::{FixupBoard, TryTake, WaitOutcome, WaitPolicy};
-use crate::microkernel::KernelKind;
+use crate::microkernel::{KernelKind, PackBuffers};
 use crate::output::TileWriter;
 use crate::packcache::{mac_loop_kernel_cached, PackCache};
 use crate::pad::CachePadded;
@@ -27,10 +33,12 @@ use crate::sched::CtaScheduler;
 use crate::trace::{self, ExecTrace, SpanKind, WorkerTrace};
 use crate::workspace::Workspace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::slice;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use streamk_core::{
-    peer_contribution, CtaWork, Decomposition, ExecutorError, FixupError, PeerTable,
+    CtaWork, Decomposition, ExecutorError, FixupError, GroupedDecomposition, GroupedSegment,
+    GroupedSpace, PeerTable,
 };
 use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
@@ -108,6 +116,10 @@ impl Default for ExecutorConfig {
 /// even if the previous launch stole). `launches` alone is
 /// *cumulative* across the executor's (and its clones') lifetime.
 ///
+/// Every single-launch entry point (`gemm*`, batched, grouped and the
+/// direct Strassen burst) runs through the same grid loop, so each
+/// reports steals, deferrals, wait stall and recoveries alike.
+///
 /// **Service launches are invisible here.** A
 /// [`GemmService`](crate::serve::GemmService) session occupies the
 /// pool with one long-running job and *never* writes these counters:
@@ -115,11 +127,9 @@ impl Default for ExecutorConfig {
 /// launch", so per-request counters live on each request's own
 /// [`CompletionHandle`](crate::serve::CompletionHandle) (see
 /// [`RequestStats`](crate::serve::RequestStats)) and service totals
-/// in [`ServiceStats`](crate::serve::ServiceStats). This legacy
-/// aggregate view keeps describing exactly what it always did: the
-/// most recent *single-launch* entry point (`gemm*`, batched,
-/// grouped) — a serve session in between neither clobbers nor
-/// contributes to it.
+/// in [`ServiceStats`](crate::serve::ServiceStats). This aggregate
+/// view describes the most recent *single-launch* entry point — a
+/// serve session in between neither clobbers nor contributes to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// CTA blocks stolen between workers during the most recent
@@ -513,7 +523,8 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        self.run_grid(alpha, a, b, beta, c, decomp, &FaultPlan::none(), false).map(|_| ())
+        let (a, b, c) = (slice::from_ref(a), slice::from_ref(b), slice::from_mut(c));
+        self.run_grid(alpha, a, b, beta, c, &decomp.into(), &FaultPlan::none(), false).map(|_| ())
     }
 
     /// Computes `C = A · B` while injecting `plan`'s faults into the
@@ -542,20 +553,29 @@ impl CpuExecutor {
     {
         let shape = decomp.space().shape();
         let mut c = Matrix::<Acc>::zeros(shape.m, shape.n, a.layout());
-        let report = self.run_grid(Acc::ONE, &a.view(), &b.view(), Acc::ZERO, &mut c, decomp, plan, true)?;
+        let (a, b) = (&[a.view()], &[b.view()]);
+        let c_out = slice::from_mut(&mut c);
+        let report = self.run_grid(Acc::ONE, a, b, Acc::ZERO, c_out, &decomp.into(), plan, true)?;
         Ok((c, report))
     }
 
-    /// The one grid loop behind every public entry.
+    /// The one grid loop behind every single-launch entry: runs the
+    /// grouped grid `decomp` over instance `i`'s operands `a[i]`,
+    /// `b[i]` into `c[i]` (a single GEMM is a group of one).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand counts differ from the group's instance
+    /// count.
     #[allow(clippy::too_many_arguments)]
-    fn run_grid<In, Acc>(
+    pub(crate) fn run_grid<In, Acc>(
         &self,
         alpha: Acc,
-        a: &MatrixView<'_, In>,
-        b: &MatrixView<'_, In>,
+        a: &[MatrixView<'_, In>],
+        b: &[MatrixView<'_, In>],
         beta: Acc,
-        c: &mut Matrix<Acc>,
-        decomp: &Decomposition,
+        c: &mut [Matrix<Acc>],
+        decomp: &GroupedDecomposition,
         plan: &FaultPlan,
         recover: bool,
     ) -> Result<RecoveryReport, ExecutorError>
@@ -564,18 +584,24 @@ impl CpuExecutor {
         Acc: Scalar,
     {
         let space = decomp.space();
-        let shape = space.shape();
-        check_shape("op(A)", (shape.m, shape.k), (a.rows(), a.cols()))?;
-        check_shape("op(B)", (shape.k, shape.n), (b.rows(), b.cols()))?;
-        check_shape("C", (shape.m, shape.n), (c.rows(), c.cols()))?;
-        decomp.validate().map_err(|e| ExecutorError::InvalidDecomposition(e.to_string()))?;
+        let groups = space.groups();
+        assert!(
+            a.len() == groups && b.len() == groups && c.len() == groups,
+            "need one A, B and C per instance"
+        );
+        for ((inst, (a, b)), c) in space.instances().iter().zip(a.iter().zip(b)).zip(c.iter()) {
+            let shape = inst.shape();
+            check_shape("op(A)", (shape.m, shape.k), (a.rows(), a.cols()))?;
+            check_shape("op(B)", (shape.k, shape.n), (b.rows(), b.cols()))?;
+            check_shape("C", (shape.m, shape.n), (c.rows(), c.cols()))?;
+        }
+        decomp.validate().map_err(ExecutorError::InvalidDecomposition)?;
 
         // Residency requirement, kept for GPU fidelity: on the device
         // a waiting owner occupies an SM, so the largest owner+peers
-        // group must be co-resident. The CPU path's cooperative
+        // group must be co-resident. The CPU loop's cooperative
         // deferral would tolerate narrower pools, but refusing keeps
-        // the launch contract identical to the simulator's and the
-        // batched/grouped executors' (whose owners do block).
+        // the launch contract identical to the simulator's.
         let fixups = decomp.fixups();
         let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
         if max_covering > self.config.threads {
@@ -586,19 +612,36 @@ impl CpuExecutor {
         }
 
         let policy = WaitPolicy::with_watchdog(self.config.watchdog);
-        // Per-launch panel tables, one shard per worker by default:
-        // every CTA touching a tile row/column reuses its own shard's
-        // packing work, and published panels stay cache-resident on
-        // the core that packed them.
-        let cache = if self.config.pack_cache {
-            PackCache::for_kernel_sharded(space, self.config.kernel, policy, self.pack_shards())
-        } else {
-            None
-        };
         let workers = self.config.threads;
         let ctx = GridCtx {
-            decomp,
+            space,
             ctas: decomp.ctas(),
+            a,
+            b,
+            writers: c
+                .iter_mut()
+                .zip(space.instances())
+                .map(|(c, inst)| {
+                    let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
+                    TileWriter::new(c.as_mut_slice(), rows, cols, layout, inst.tiles())
+                })
+                .collect(),
+            // Per-launch panel tables, one per instance and one shard
+            // per worker by default: every CTA touching a tile
+            // row/column reuses its own shard's packing work, and
+            // published panels stay cache-resident on the core that
+            // packed them.
+            caches: space
+                .instances()
+                .iter()
+                .map(|inst| {
+                    self.config.pack_cache.then(|| {
+                        PackCache::for_kernel_sharded(inst, self.config.kernel, policy, self.pack_shards())
+                    })?
+                })
+                .collect(),
+            alpha,
+            beta,
             // Per-owner peer lists in one flat CSR table — built once
             // from the fixup structure, no per-launch Vec-of-Vec
             // cloning.
@@ -607,7 +650,6 @@ impl CpuExecutor {
             plan,
             policy,
             kernel: self.config.kernel,
-            cache,
             recover,
             deferrals: AtomicUsize::new(0),
             wait_ns: AtomicU64::new(0),
@@ -618,9 +660,9 @@ impl CpuExecutor {
         // Locality-aware dispatch: static contiguous per-worker ranges
         // of the (swizzled) CTA order, rebalanced by range-stealing.
         let sched = CtaScheduler::new(ctx.ctas.len(), workers);
-        let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-        let writer = TileWriter::new(c.as_mut_slice(), rows, cols, layout, space.tiles());
-        let tile = space.tile();
+        // Every instance shares the blocking factor, hence the
+        // accumulator size.
+        let tile = space.instances()[0].tile();
         let tile_len = tile.blk_m * tile.blk_n;
         // One shared epoch so every worker's span timestamps (and the
         // wall clock below) share a zero; each worker gets a private
@@ -647,9 +689,7 @@ impl CpuExecutor {
             ws.ensure_tile_len(tile_len);
             let mut deferred = Vec::new();
             let mut events = Vec::new();
-            if let Err(e) =
-                worker_loop(&ctx, &sched, wid, a, b, &writer, alpha, beta, ws, &mut deferred, &mut events)
-            {
+            if let Err(e) = worker_loop(&ctx, &sched, wid, ws, &mut deferred, &mut events) {
                 let mut slot = ctx.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 slot.get_or_insert(e);
                 // Stop claiming work; owners waiting on CTAs this
@@ -720,16 +760,23 @@ fn check_shape(
     }
 }
 
-/// Shared per-launch state every worker reads.
+/// Shared per-launch state every worker reads: the grid, each
+/// instance's operands, output window and panel cache, and the fixup
+/// protocol's board.
 struct GridCtx<'a, In, Acc> {
-    decomp: &'a Decomposition,
+    space: &'a GroupedSpace,
     ctas: &'a [CtaWork],
+    a: &'a [MatrixView<'a, In>],
+    b: &'a [MatrixView<'a, In>],
+    writers: Vec<TileWriter<'a, Acc>>,
+    caches: Vec<Option<PackCache<In>>>,
+    alpha: Acc,
+    beta: Acc,
     peers: PeerTable,
     board: FixupBoard<Acc>,
     plan: &'a FaultPlan,
     policy: WaitPolicy,
     kernel: KernelKind,
-    cache: Option<PackCache<In>>,
     recover: bool,
     /// Owner consolidations parked cooperatively this launch.
     deferrals: AtomicUsize,
@@ -744,6 +791,31 @@ struct GridCtx<'a, In, Acc> {
     error: Mutex<Option<ExecutorError>>,
 }
 
+impl<In, Acc> GridCtx<'_, In, Acc>
+where
+    In: Promote<Acc>,
+    Acc: Scalar,
+{
+    /// Runs `seg`'s local iterations into `out`. All [`KernelKind`]s
+    /// accumulate in identical ascending-k order, so the kernel choice
+    /// never changes results.
+    fn mac(&self, wid: usize, seg: &GroupedSegment, out: &mut [Acc], pack: &mut PackBuffers<In>) {
+        let i = seg.instance;
+        let inst = &self.space.instances()[i];
+        let cache = self.caches[i].as_ref();
+        let (begin, end) = (seg.local_begin, seg.local_end);
+        mac_loop_kernel_cached(self.kernel, cache, wid, &self.a[i], &self.b[i], inst, seg.local_tile, begin, end, out, pack);
+    }
+
+    /// Stores `seg`'s finished tile through the epilogue.
+    fn store(&self, seg: &GroupedSegment, accum: &[Acc]) {
+        let inst = &self.space.instances()[seg.instance];
+        let (rows, cols) = inst.tile_extents(seg.local_tile);
+        let blk_n = inst.tile().blk_n;
+        self.writers[seg.instance].store_tile_ex(seg.local_tile, rows, cols, blk_n, accum, self.alpha, self.beta);
+    }
+}
+
 /// One parked owner consolidation: the owner's own accumulated
 /// contribution plus the index of the first peer still pending.
 /// Folding resumes in strict ascending peer order from `next_peer`,
@@ -751,7 +823,7 @@ struct GridCtx<'a, In, Acc> {
 /// a blocking one would — bit-identical output.
 struct Deferred<Acc> {
     owner: usize,
-    tile_idx: usize,
+    seg: GroupedSegment,
     accum: Vec<Acc>,
     next_peer: usize,
 }
@@ -765,16 +837,10 @@ struct Deferred<Acc> {
 /// without ever waiting (owners *defer* instead of blocking inside
 /// the claim loop), so every pending peer either signals in bounded
 /// time or trips the watchdog.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop<In, Acc>(
     ctx: &GridCtx<'_, In, Acc>,
     sched: &CtaScheduler,
     wid: usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
     ws: &mut Workspace<In, Acc>,
     deferred: &mut Vec<Deferred<Acc>>,
     events: &mut Vec<RecoveryEvent>,
@@ -784,31 +850,25 @@ where
     Acc: Scalar,
 {
     loop {
-        drain_deferred(ctx, wid, deferred, events, a, b, writer, alpha, beta, ws, false)?;
+        drain_deferred(ctx, wid, deferred, events, ws, false)?;
         let t0 = trace::start();
         let Some(claim) = sched.next_claim(wid) else { break };
         let kind = if claim.stolen { SpanKind::Steal } else { SpanKind::Claim };
         trace::finish(kind, t0, claim.id as u32, 0);
-        run_cta(ctx, wid, claim.id, a, b, writer, alpha, beta, ws, deferred, events)?;
+        run_cta(ctx, wid, claim.id, ws, deferred, events)?;
     }
-    drain_deferred(ctx, wid, deferred, events, a, b, writer, alpha, beta, ws, true)
+    drain_deferred(ctx, wid, deferred, events, ws, true)
 }
 
 /// Advances every parked consolidation as far as its peers allow,
 /// storing each completed tile. Non-blocking when `block` is false
 /// (a still-pending peer just parks the tile again); the final drain
 /// passes `block = true` and descends the watchdog ladder.
-#[allow(clippy::too_many_arguments)]
 fn drain_deferred<In, Acc>(
     ctx: &GridCtx<'_, In, Acc>,
     wid: usize,
     deferred: &mut Vec<Deferred<Acc>>,
     events: &mut Vec<RecoveryEvent>,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
     ws: &mut Workspace<In, Acc>,
     block: bool,
 ) -> Result<(), ExecutorError>
@@ -816,23 +876,19 @@ where
     In: Promote<Acc>,
     Acc: Scalar,
 {
-    let space = ctx.decomp.space();
-    let blk_n = space.tile().blk_n;
     let mut i = 0;
     while i < deferred.len() {
         let d = &mut deferred[i];
         let t0 = trace::start();
-        let done = advance_consolidation(
-            ctx, wid, d.owner, d.tile_idx, &mut d.accum, &mut d.next_peer, a, b, ws, events, block,
-        )?;
+        let done =
+            advance_consolidation(ctx, wid, d.owner, &d.seg, &mut d.accum, &mut d.next_peer, ws, events, block)?;
         if done {
             let d = deferred.swap_remove(i);
-            let (row_range, col_range) = space.tile_extents(d.tile_idx);
-            writer.store_tile_ex(d.tile_idx, row_range, col_range, blk_n, &d.accum, alpha, beta);
+            ctx.store(&d.seg, &d.accum);
             // The resumption span is recorded only when the parked
             // consolidation actually completes; fruitless polls (the
             // peer still pending) would flood the ring.
-            trace::finish(SpanKind::DeferResume, t0, d.tile_idx as u32, 0);
+            trace::finish(SpanKind::DeferResume, t0, d.seg.global_tile as u32, 0);
             ws.recycle_partial(d.accum);
         } else {
             i += 1;
@@ -841,25 +897,24 @@ where
     Ok(())
 }
 
-/// Folds peers into `accum` in ascending order starting at
-/// `*next_peer`. Returns `Ok(true)` when every peer has been folded;
-/// `Ok(false)` (only when `block` is false) when a peer is still
-/// pending — the caller parks the consolidation and does other work.
+/// Folds peers of the tile `seg` owns into `accum` in ascending order
+/// starting at `*next_peer`. Returns `Ok(true)` when every peer has
+/// been folded; `Ok(false)` (only when `block` is false) when a peer
+/// is still pending — the caller parks the consolidation and does
+/// other work.
 ///
 /// Missing records (watchdog timeout when blocking, or a poisoned
 /// slot either way) are recomputed from the peer's static work
 /// descriptor when recovery is on, and surface as typed errors when
-/// it is off — identical semantics to the old blocking-only path.
+/// it is off.
 #[allow(clippy::too_many_arguments)]
 fn advance_consolidation<In, Acc>(
     ctx: &GridCtx<'_, In, Acc>,
     wid: usize,
     owner: usize,
-    tile_idx: usize,
+    seg: &GroupedSegment,
     accum: &mut [Acc],
     next_peer: &mut usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
     ws: &mut Workspace<In, Acc>,
     events: &mut Vec<RecoveryEvent>,
     block: bool,
@@ -927,53 +982,23 @@ where
         // order keeps the final output bit-identical to the
         // fault-free run.
         let t0 = trace::start();
-        let recomputed_iters = recompute_peer(ctx, wid, peer, tile_idx, a, b, ws)?;
+        let tile_idx = seg.global_tile;
+        let seg_p = ctx.space.peer_contribution(&ctx.ctas[peer], tile_idx).ok_or_else(|| {
+            ExecutorError::InvalidDecomposition(format!(
+                "fixup lists CTA {peer} as a peer of tile {tile_idx} but it contributes nothing",
+            ))
+        })?;
+        ws.reset_scratch();
+        ctx.mac(wid, &seg_p, &mut ws.scratch, &mut ws.pack);
         for (acc, p) in accum.iter_mut().zip(&ws.scratch) {
             *acc += *p;
         }
+        let recomputed_iters = seg_p.local_end - seg_p.local_begin;
         trace::finish(SpanKind::Recovery, t0, peer as u32, recomputed_iters as u32);
         events.push(RecoveryEvent { peer, tile_idx, cause, recomputed_iters });
         *next_peer += 1;
     }
     Ok(true)
-}
-
-/// Recomputes `peer`'s contribution to `tile_idx` into `ws.scratch`,
-/// returning the number of MAC-loop iterations re-executed.
-fn recompute_peer<In, Acc>(
-    ctx: &GridCtx<'_, In, Acc>,
-    wid: usize,
-    peer: usize,
-    tile_idx: usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    ws: &mut Workspace<In, Acc>,
-) -> Result<usize, ExecutorError>
-where
-    In: Promote<Acc>,
-    Acc: Scalar,
-{
-    let space = ctx.decomp.space();
-    let seg_p = peer_contribution(&ctx.ctas[peer], space, tile_idx).ok_or_else(|| {
-        ExecutorError::InvalidDecomposition(format!(
-            "fixup lists CTA {peer} as a peer of tile {tile_idx} but it contributes nothing",
-        ))
-    })?;
-    ws.reset_scratch();
-    mac_loop_kernel_cached(
-        ctx.kernel,
-        ctx.cache.as_ref(),
-        wid,
-        a,
-        b,
-        space,
-        tile_idx,
-        seg_p.local_begin,
-        seg_p.local_end,
-        &mut ws.scratch,
-        &mut ws.pack,
-    );
-    Ok(seg_p.len())
 }
 
 /// Executes one CTA: the iteration-processing outer loop of
@@ -990,16 +1015,10 @@ where
 /// and returns to the claim loop. With static per-worker CTA ranges
 /// an owner can sit *ahead of its own peers* in the dispatch order —
 /// a blocking wait would deadlock the launch, not just waste a core.
-#[allow(clippy::too_many_arguments)]
 fn run_cta<In, Acc>(
     ctx: &GridCtx<'_, In, Acc>,
     wid: usize,
     id: usize,
-    a: &MatrixView<'_, In>,
-    b: &MatrixView<'_, In>,
-    writer: &TileWriter<'_, Acc>,
-    alpha: Acc,
-    beta: Acc,
     ws: &mut Workspace<In, Acc>,
     deferred: &mut Vec<Deferred<Acc>>,
     events: &mut Vec<RecoveryEvent>,
@@ -1009,16 +1028,9 @@ where
     Acc: Scalar,
 {
     let cta = &ctx.ctas[id];
-    let space = ctx.decomp.space();
-    let tile = space.tile();
-    // All KernelKinds accumulate in identical ascending-k order, so
-    // the choice never changes results (Blocked falls back to the
-    // scalar path internally when operands are not row-contiguous).
-    let kind = ctx.kernel;
-    let cache = ctx.cache.as_ref();
     let cta_t0 = trace::start();
 
-    for seg in cta.segments(space) {
+    for seg in ctx.space.segments(cta) {
         let iters = (seg.local_end - seg.local_begin) as u32;
         if !seg.starts_tile {
             // This CTA joined the tile mid-stream: publish partials
@@ -1028,8 +1040,8 @@ where
             // pool; ownership passes through the board to the owner.
             let mut partial = ws.take_partial();
             let t0 = trace::start();
-            mac_loop_kernel_cached(kind, cache, wid, a, b, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
-            trace::finish(SpanKind::Mac, t0, seg.tile_idx as u32, iters);
+            ctx.mac(wid, &seg, &mut partial, &mut ws.pack);
+            trace::finish(SpanKind::Mac, t0, seg.global_tile as u32, iters);
             match ctx.plan.fault_for(cta.cta_id) {
                 None => {
                     let t0 = trace::start();
@@ -1058,8 +1070,8 @@ where
 
         ws.reset_accum();
         let t0 = trace::start();
-        mac_loop_kernel_cached(kind, cache, wid, a, b, space, seg.tile_idx, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
-        trace::finish(SpanKind::Mac, t0, seg.tile_idx as u32, iters);
+        ctx.mac(wid, &seg, &mut ws.accum, &mut ws.pack);
+        trace::finish(SpanKind::Mac, t0, seg.global_tile as u32, iters);
 
         if !seg.ends_tile {
             // Owner of a split tile: fold every peer that has already
@@ -1068,13 +1080,12 @@ where
             // of blocking a worker on it.
             let mut accum = std::mem::take(&mut ws.accum);
             let mut next_peer = 0;
-            let done = advance_consolidation(
-                ctx, wid, id, seg.tile_idx, &mut accum, &mut next_peer, a, b, ws, events, false,
-            )?;
+            let done =
+                advance_consolidation(ctx, wid, id, &seg, &mut accum, &mut next_peer, ws, events, false)?;
             if !done {
                 ctx.deferrals.fetch_add(1, Ordering::Relaxed);
-                trace::instant(SpanKind::DeferPark, seg.tile_idx as u32, next_peer as u32);
-                deferred.push(Deferred { owner: id, tile_idx: seg.tile_idx, accum, next_peer });
+                trace::instant(SpanKind::DeferPark, seg.global_tile as u32, next_peer as u32);
+                deferred.push(Deferred { owner: id, seg, accum, next_peer });
                 // Give the workspace a fresh (pooled) accumulator for
                 // the next segment; the parked one travels with the
                 // deferred record.
@@ -1084,8 +1095,7 @@ where
             ws.accum = accum;
         }
 
-        let (row_range, col_range) = space.tile_extents(seg.tile_idx);
-        writer.store_tile_ex(seg.tile_idx, row_range, col_range, tile.blk_n, &ws.accum, alpha, beta);
+        ctx.store(&seg, &ws.accum);
     }
     trace::finish(SpanKind::Cta, cta_t0, id as u32, 0);
     Ok(())
@@ -1453,11 +1463,11 @@ mod tests {
         let err = exec
             .run_grid(
                 1.0f64,
-                &a.view(),
-                &b.view(),
+                &[a.view()],
+                &[b.view()],
                 0.0,
-                &mut Matrix::<f64>::zeros(96, 80, Layout::RowMajor),
-                &decomp,
+                &mut [Matrix::<f64>::zeros(96, 80, Layout::RowMajor)],
+                &(&decomp).into(),
                 &plan,
                 false,
             )

@@ -296,26 +296,6 @@ impl<Acc: Send> FixupBoard<Acc> {
         (outcome, rounds)
     }
 
-    /// [`wait_with`](Self::wait_with) under the default policy,
-    /// expecting a clean signal — the fault-free fast path used where
-    /// no faults can be injected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is poisoned or the 30-second default
-    /// watchdog expires (both indicate a bug in a fault-free
-    /// schedule; a bounded panic beats the former unbounded spin).
-    #[must_use]
-    pub fn wait_and_take(&self, peer: usize) -> Vec<Acc> {
-        match self.wait_with(peer, &WaitPolicy::default()) {
-            WaitOutcome::Signaled(partials) => partials,
-            WaitOutcome::Poisoned => panic!("CTA {peer}'s partials poisoned in a fault-free schedule"),
-            WaitOutcome::TimedOut { waited } => {
-                panic!("watchdog expired after {waited:?} waiting for CTA {peer}")
-            }
-        }
-    }
-
     /// The current state of `cta`'s flag (non-blocking).
     ///
     /// # Panics
@@ -362,7 +342,7 @@ mod tests {
         assert_eq!(board.state(2), FlagState::Pending);
         board.store_and_signal(2, vec![1.0, 2.0]).unwrap();
         assert!(board.has_signaled(2));
-        assert_eq!(board.wait_and_take(2), vec![1.0, 2.0]);
+        assert_eq!(board.wait_with(2, &WaitPolicy::default()), WaitOutcome::Signaled(vec![1.0, 2.0]));
     }
 
     #[test]
@@ -371,7 +351,7 @@ mod tests {
         board.store_and_signal(0, vec![1.0]).unwrap();
         assert_eq!(board.store_and_signal(0, vec![2.0]), Err(FixupError::DoubleSignal { cta: 0 }));
         // The first record survives the failed second signal.
-        assert_eq!(board.wait_and_take(0), vec![1.0]);
+        assert_eq!(board.wait_with(0, &WaitPolicy::default()), WaitOutcome::Signaled(vec![1.0]));
     }
 
     #[test]
@@ -454,9 +434,9 @@ mod tests {
                 board.store_and_signal(1, payload).unwrap();
             })
         };
-        let got = board.wait_and_take(1);
+        let got = board.wait_with(1, &WaitPolicy::default());
         producer.join().unwrap();
-        assert_eq!(got, expected);
+        assert_eq!(got, WaitOutcome::Signaled(expected));
     }
 
     /// A straggling producer that beats the watchdog is observed as a
@@ -498,7 +478,10 @@ mod tests {
                 .collect();
             let mut sum = [0.0f64; 16];
             for p in 1..=peers {
-                for (s, v) in sum.iter_mut().zip(board.wait_and_take(p)) {
+                let WaitOutcome::Signaled(partials) = board.wait_with(p, &WaitPolicy::default()) else {
+                    panic!("peer {p} did not signal");
+                };
+                for (s, v) in sum.iter_mut().zip(partials) {
                     *s += v;
                 }
             }

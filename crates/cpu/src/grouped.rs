@@ -1,20 +1,25 @@
 //! Grouped GEMM execution — one grid, many problem shapes.
+//!
+//! A [`GroupedDecomposition`] splits the summed MAC iterations of
+//! every instance evenly over one grid; only the mapping from
+//! iteration to output tile differs from a single GEMM. So a grouped
+//! launch runs through the executor's one grid loop
+//! ([`CpuExecutor::gemm`]'s static ranges with stealing, cooperative
+//! deferral, watchdog recovery, spans and [`ExecStats`]) and this
+//! module holds only argument validation and the call.
+//!
+//! [`ExecStats`]: crate::ExecStats
 
 use crate::executor::CpuExecutor;
-use crate::fixup::{FixupBoard, WaitPolicy};
-use crate::output::TileWriter;
-use crate::packcache::{mac_loop_kernel_cached, PackCache};
-use crate::sched::GridCursor;
-use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-use streamk_core::{GroupedDecomposition, PeerTable};
-use streamk_matrix::{Matrix, Promote, Scalar};
+use crate::fault::FaultPlan;
+use streamk_core::GroupedDecomposition;
+use streamk_matrix::{Matrix, MatrixView, Promote, Scalar};
 
 impl CpuExecutor {
     /// Computes `C_i = A_i · B_i` for every instance of the group by
     /// executing `decomp`'s single grid. Instances may have unrelated
-    /// shapes; they share the blocking factor.
+    /// shapes; they share the blocking factor. Each `C_i` is produced
+    /// in `A_i`'s storage layout.
     ///
     /// # Panics
     ///
@@ -32,117 +37,78 @@ impl CpuExecutor {
         In: Promote<Acc>,
         Acc: Scalar,
     {
-        let space = decomp.space();
-        assert_eq!(a.len(), space.groups(), "need one A per instance");
-        assert_eq!(b.len(), space.groups(), "need one B per instance");
-        for (i, inst) in space.instances().iter().enumerate() {
-            let shape = inst.shape();
-            assert_eq!((a[i].rows(), a[i].cols()), (shape.m, shape.k), "A[{i}] must be m x k");
-            assert_eq!((b[i].rows(), b[i].cols()), (shape.k, shape.n), "B[{i}] must be k x n");
-        }
-        decomp.validate().expect("invalid grouped decomposition");
-
-        let fixups = decomp.fixups();
-        let max_covering = fixups.iter().map(|f| f.covering_ctas()).max().unwrap_or(1);
-        assert!(
-            max_covering <= self.threads(),
-            "decomposition needs {max_covering} co-resident CTAs but the executor has {} threads",
-            self.threads()
-        );
-        // Flat CSR peer table — no per-launch Vec-of-Vec cloning.
-        let owner_peers = PeerTable::new(decomp.grid_size(), &fixups);
-
-        // One blocking factor for all instances — the shared
-        // accumulator size.
-        let tile = space.instances()[0].tile();
-        let mut outputs: Vec<Matrix<Acc>> = space
-            .instances()
+        let instances = decomp.space().instances();
+        assert_eq!(a.len(), instances.len(), "need one A per instance");
+        assert_eq!(b.len(), instances.len(), "need one B per instance");
+        let mut c: Vec<Matrix<Acc>> = instances
             .iter()
-            .enumerate()
-            .map(|(i, inst)| Matrix::<Acc>::zeros(inst.shape().m, inst.shape().n, a[i].layout()))
+            .zip(a)
+            .map(|(inst, a)| Matrix::zeros(inst.shape().m, inst.shape().n, a.layout()))
             .collect();
-        let writers: Vec<TileWriter<'_, Acc>> = outputs
-            .iter_mut()
-            .zip(space.instances())
-            .map(|(c, inst)| {
-                let (rows, cols, layout) = (c.rows(), c.cols(), c.layout());
-                TileWriter::new(c.as_mut_slice(), rows, cols, layout, inst.tiles())
-            })
-            .collect();
-
-        let board = FixupBoard::<Acc>::new(decomp.grid_size());
-        let cursor = GridCursor::new(decomp.grid_size());
-        let ctas = decomp.ctas();
-        let kind = self.kernel();
-        // One pack cache per instance, keyed by that instance's own
-        // iteration space (grouped instances have unrelated shapes).
-        // Empty when caching is off or the kernel doesn't consume
-        // panels; `get` then yields `None` and the dispatcher packs
-        // privately.
-        let policy = WaitPolicy::with_watchdog(self.watchdog());
-        let caches: Vec<PackCache<In>> = if self.pack_cache() {
-            space.instances().iter().filter_map(|inst| PackCache::for_kernel(inst, kind, policy)).collect()
-        } else {
-            Vec::new()
-        };
-
-        // Round-robin cursor claiming (owners block in
-        // `wait_and_take`): the interleave keeps a blocked owner's
-        // peers claimed by other workers, which static ranges would
-        // not guarantee.
-        let tile_len = tile.blk_m * tile.blk_n;
-        let wait_ns = AtomicU64::new(0);
-        self.worker_pool().run(&|wid, scratch| {
-            // Per-worker arena from the persistent pool's scratch
-            // store, warm across launches; the dispatcher handles each
-            // instance's layout (packed kernels normalize it, Blocked
-            // falls back to scalar when strided).
-            let ws = scratch.get_or_insert_with(|| Workspace::<In, Acc>::new(tile_len));
-            ws.ensure_tile_len(tile_len);
-            while let Some(id) = cursor.claim() {
-                let cta = &ctas[id];
-                for seg in space.segments(cta) {
-                    let inst = &space.instances()[seg.instance];
-                    let (av, bv) = (a[seg.instance].view(), b[seg.instance].view());
-
-                    if !seg.starts_tile {
-                        let mut partial = ws.take_partial();
-                        mac_loop_kernel_cached(kind, caches.get(seg.instance), wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut partial, &mut ws.pack);
-                        board
-                            .store_and_signal(cta.cta_id, partial)
-                            .expect("fault-free grouped schedule");
-                        continue;
-                    }
-                    ws.reset_accum();
-                    mac_loop_kernel_cached(kind, caches.get(seg.instance), wid, &av, &bv, inst, seg.local_tile, seg.local_begin, seg.local_end, &mut ws.accum, &mut ws.pack);
-                    if !seg.ends_tile {
-                        for &peer in owner_peers.peers(cta.cta_id) {
-                            let t0 = Instant::now();
-                            let partial = board.wait_and_take(peer);
-                            wait_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            for (acc, p) in ws.accum.iter_mut().zip(&partial) {
-                                *acc += *p;
-                            }
-                            ws.recycle_partial(partial);
-                        }
-                    }
-                    let (rows, cols) = inst.tile_extents(seg.local_tile);
-                    writers[seg.instance].store_tile(seg.local_tile, rows, cols, tile.blk_n, &ws.accum);
-                }
-            }
-        });
-        self.record_stats(0, 0, Duration::from_nanos(wait_ns.load(Ordering::Relaxed)), 0);
-        drop(writers);
-        outputs
+        let a: Vec<MatrixView<'_, In>> = a.iter().map(Matrix::view).collect();
+        let b: Vec<MatrixView<'_, In>> = b.iter().map(Matrix::view).collect();
+        self.run_grid(Acc::ONE, &a, &b, Acc::ZERO, &mut c, decomp, &FaultPlan::none(), false)
+            .unwrap_or_else(|e| panic!("{e}"));
+        c
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use streamk_core::GroupedSpace;
+    use crate::fault::FaultKind;
+    use std::time::Duration;
+    use streamk_core::{Decomposition, GroupedSpace, SpanKind, TileOrder};
     use streamk_matrix::reference::gemm_naive;
     use streamk_types::{GemmShape, Layout, TileShape};
+
+    /// Runs `decomp` through the grid loop with `plan`'s faults
+    /// injected and recovery on.
+    pub(crate) fn run_with_faults(
+        exec: &CpuExecutor,
+        a: &[Matrix<f64>],
+        b: &[Matrix<f64>],
+        decomp: &GroupedDecomposition,
+        plan: &FaultPlan,
+    ) -> Vec<Matrix<f64>> {
+        let av: Vec<_> = a.iter().map(Matrix::view).collect();
+        let bv: Vec<_> = b.iter().map(Matrix::view).collect();
+        let mut c: Vec<Matrix<f64>> = decomp
+            .space()
+            .instances()
+            .iter()
+            .map(|inst| Matrix::zeros(inst.shape().m, inst.shape().n, Layout::RowMajor))
+            .collect();
+        exec.run_grid(1.0, &av, &bv, 0.0, &mut c, decomp, plan, true).expect("recovers");
+        c
+    }
+
+    /// A lost, a poisoned and a straggling contributor each leave the
+    /// output bit-identical to the fault-free launch, and
+    /// `last_stats().recoveries` counts the recomputations (the
+    /// straggler signals inside the watchdog, so it needs none).
+    pub(crate) fn assert_faults_recover_bit_exact(
+        a: &[Matrix<f64>],
+        b: &[Matrix<f64>],
+        decomp: &GroupedDecomposition,
+        threads: usize,
+    ) {
+        let exec = CpuExecutor::with_threads(threads).with_watchdog(Duration::from_millis(200));
+        let baseline = exec.gemm_grouped::<f64, f64>(a, b, decomp);
+        let contributors: Vec<usize> = decomp.fixups().iter().flat_map(|f| f.peers.clone()).collect();
+        assert!(!contributors.is_empty(), "the launch must have split seams");
+        for (victim, fault, recoveries) in [
+            (contributors[0], FaultKind::Lose, 1),
+            (*contributors.last().unwrap(), FaultKind::Poison, 1),
+            (contributors[0], FaultKind::Straggle(Duration::from_millis(30)), 0),
+        ] {
+            let c = run_with_faults(&exec, a, b, decomp, &FaultPlan::single(victim, fault));
+            assert_eq!(exec.last_stats().recoveries, recoveries, "{fault:?} on CTA {victim}");
+            for (got, want) in c.iter().zip(&baseline) {
+                assert_eq!(got.max_abs_diff(want), 0.0, "{fault:?} on CTA {victim} diverged");
+            }
+        }
+    }
 
     fn operands(shapes: &[GemmShape], seed: u64) -> (Vec<Matrix<f64>>, Vec<Matrix<f64>>) {
         let a = shapes
@@ -229,5 +195,48 @@ mod tests {
         let both = [shapes[0], shapes[0]];
         let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&both, TileShape::new(16, 16, 16)), 2);
         let _ = CpuExecutor::with_threads(2).gemm_grouped::<f64, f64>(&a, &b, &decomp);
+    }
+
+    #[test]
+    fn faulted_contributors_recover_bit_exact() {
+        let shapes = [GemmShape::new(19, 23, 131), GemmShape::new(41, 13, 67), GemmShape::new(32, 32, 48)];
+        let (a, b) = operands(&shapes, 6);
+        let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, TileShape::new(16, 16, 8)), 6);
+        assert_faults_recover_bit_exact(&a, &b, &decomp, 6);
+    }
+
+    /// A group of one is a single GEMM: bit-identical to `gemm` on the
+    /// same grid, ragged shape and swizzled tile order alike.
+    #[test]
+    fn group_of_one_is_bit_identical_to_gemm() {
+        let shape = GemmShape::new(67, 43, 129);
+        let tile = TileShape::new(16, 16, 8);
+        let (a, b) = operands(&[shape], 7);
+        let exec = CpuExecutor::with_threads(5);
+        let plain = Decomposition::stream_k(shape, tile, 5);
+        let grouped = GroupedDecomposition::stream_k(GroupedSpace::new(&[shape], tile), 5);
+        let swizzled = plain.clone().with_tile_order(TileOrder::ColumnGrouped(2));
+        for (single, group) in [(&plain, grouped), (&swizzled, GroupedDecomposition::from(&swizzled))] {
+            let c = exec.gemm::<f64, f64>(&a[0], &b[0], single);
+            let g = exec.gemm_grouped::<f64, f64>(&a, &b, &group);
+            assert_eq!(g[0].max_abs_diff(&c), 0.0, "{:?}", single.space().order());
+        }
+    }
+
+    /// A traced grouped launch records the same span vocabulary as
+    /// `gemm`: MAC spans, and one CTA span per CTA.
+    #[test]
+    fn traced_grouped_launch_records_spans() {
+        let shapes = [GemmShape::new(32, 32, 48), GemmShape::new(48, 16, 96), GemmShape::new(16, 64, 16)];
+        let (a, b) = operands(&shapes, 8);
+        let decomp = GroupedDecomposition::stream_k(GroupedSpace::new(&shapes, TileShape::new(16, 16, 8)), 4);
+        let exec = CpuExecutor::with_threads(4).with_trace(true);
+        let _ = exec.gemm_grouped::<f64, f64>(&a, &b, &decomp);
+        let trace = exec.last_trace().expect("traced launch yields a trace");
+        let spans = || trace.workers.iter().flat_map(|w| &w.spans);
+        assert!(spans().any(|s| s.kind == SpanKind::Mac), "no MAC spans");
+        let mut ctas: Vec<u32> = spans().filter(|s| s.kind == SpanKind::Cta).map(|s| s.arg).collect();
+        ctas.sort_unstable();
+        assert_eq!(ctas, (0..decomp.grid_size() as u32).collect::<Vec<_>>());
     }
 }

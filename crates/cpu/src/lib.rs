@@ -17,6 +17,14 @@
 //!   before accumulating the peer's partials and writing the final
 //!   output tile.
 //!
+//! One grid loop ([`executor`]) runs every single-launch entry: a
+//! launch is a group of problems sharing one blocking factor, so
+//! `gemm` is a group of one, [`gemm_grouped`](CpuExecutor::gemm_grouped)
+//! calls the loop directly, [`gemm_batched`](CpuExecutor::gemm_batched)
+//! runs its batch as the uniform group, and the Strassen burst
+//! ([`strassen`]) is one grouped launch. The service ([`serve`]) runs
+//! its own claim loop over concurrent requests.
+//!
 //! This proves the decomposition + synchronization protocol correct —
 //! every strategy, every grid size, every thread count must produce
 //! the reference result (bit-exact in f64 for unsplit tiles;

@@ -56,44 +56,13 @@ impl<'a, Acc: Copy> TileWriter<'a, Acc> {
             _marker: PhantomData,
         }
     }
-
-    /// Stores a finished tile: `accum` is a row-major `blk_m × blk_n`
-    /// scratch tile; only the clamped `row_range × col_range` region is
-    /// written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same tile is stored twice (protocol violation) or
-    /// the ranges exceed the matrix extents.
-    pub(crate) fn store_tile(
-        &self,
-        tile_idx: usize,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
-        blk_n: usize,
-        accum: &[Acc],
-    ) {
-        assert!(row_range.end <= self.rows && col_range.end <= self.cols, "tile range out of bounds");
-        let prev = self.written[tile_idx].swap(1, Ordering::Relaxed);
-        assert_eq!(prev, 0, "tile {tile_idx} stored twice");
-
-        for (ti, r) in row_range.clone().enumerate() {
-            for (tj, c) in col_range.clone().enumerate() {
-                let offset = self.layout.index(r, c, self.rows, self.cols);
-                // SAFETY: offset < the layout's storage length by the bounds assertions;
-                // no other thread writes this element (unique tile
-                // ownership, asserted above); no readers exist while
-                // the exclusive borrow is held.
-                unsafe {
-                    *self.ptr.add(offset) = accum[ti * blk_n + tj];
-                }
-            }
-        }
-    }
 }
 
 impl<Acc: streamk_matrix::Scalar> TileWriter<'_, Acc> {
-    /// Epilogue store: `C_tile = α·accum + β·C_tile`. Reading the old
+    /// Stores a finished tile through the epilogue
+    /// `C_tile = α·accum + β·C_tile`: `accum` is a row-major
+    /// `blk_m × blk_n` scratch tile; only the clamped
+    /// `row_range × col_range` region is written. Reading the old
     /// tile value is safe for the same reason writing is: this thread
     /// is the tile's sole owner and no other access to the buffer
     /// exists while the writer holds its exclusive borrow. With
@@ -102,7 +71,8 @@ impl<Acc: streamk_matrix::Scalar> TileWriter<'_, Acc> {
     ///
     /// # Panics
     ///
-    /// As [`store_tile`](Self::store_tile).
+    /// Panics if the same tile is stored twice (protocol violation) or
+    /// the ranges exceed the matrix extents.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn store_tile_ex(
         &self,
@@ -122,8 +92,11 @@ impl<Acc: streamk_matrix::Scalar> TileWriter<'_, Acc> {
             for (tj, c) in col_range.clone().enumerate() {
                 let offset = self.layout.index(r, c, self.rows, self.cols);
                 let scaled = alpha * accum[ti * blk_n + tj];
-                // SAFETY: see store_tile — unique tile ownership makes
-                // this thread the only accessor of the element.
+                // SAFETY: offset < the layout's storage length by the
+                // bounds assertion; unique tile ownership (asserted
+                // above) makes this thread the only accessor of the
+                // element, and no other access to the buffer exists
+                // while the exclusive borrow is held.
                 unsafe {
                     let cell = self.ptr.add(offset);
                     *cell = if beta == Acc::ZERO { scaled } else { scaled + beta * *cell };
@@ -192,7 +165,8 @@ impl<Acc: Copy + Default> OwnedTileWriter<Acc> {
         }
     }
 
-    /// Stores a finished tile; semantics of [`TileWriter::store_tile`].
+    /// Stores a finished tile: [`TileWriter::store_tile_ex`] with
+    /// `α = 1, β = 0`.
     ///
     /// # Panics
     ///
@@ -251,7 +225,7 @@ mod tests {
         let mut buf = vec![0.0f64; 6];
         {
             let w = TileWriter::new(&mut buf, 2, 3, Layout::RowMajor, 1);
-            w.store_tile(0, 0..2, 0..3, 4, &[1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0]);
+            w.store_tile_ex(0, 0..2, 0..3, 4, &[1.0, 2.0, 3.0, 0.0, 4.0, 5.0, 6.0, 0.0], 1.0, 0.0);
         }
         assert_eq!(buf, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
@@ -261,7 +235,7 @@ mod tests {
         let mut buf = vec![9.0f64; 9];
         {
             let w = TileWriter::new(&mut buf, 3, 3, Layout::RowMajor, 4);
-            w.store_tile(3, 2..3, 2..3, 2, &[7.0, 0.0, 0.0, 0.0]);
+            w.store_tile_ex(3, 2..3, 2..3, 2, &[7.0, 0.0, 0.0, 0.0], 1.0, 0.0);
         }
         assert_eq!(buf[8], 7.0);
         assert!(buf[..8].iter().all(|&v| v == 9.0));
@@ -272,8 +246,8 @@ mod tests {
     fn double_store_panics() {
         let mut buf = vec![0.0f64; 4];
         let w = TileWriter::new(&mut buf, 2, 2, Layout::RowMajor, 1);
-        w.store_tile(0, 0..1, 0..1, 1, &[1.0]);
-        w.store_tile(0, 0..1, 0..1, 1, &[2.0]);
+        w.store_tile_ex(0, 0..1, 0..1, 1, &[1.0], 1.0, 0.0);
+        w.store_tile_ex(0, 0..1, 0..1, 1, &[2.0], 1.0, 0.0);
     }
 
     #[test]
@@ -322,7 +296,7 @@ mod tests {
                     let w = &w;
                     scope.spawn(move || {
                         let (r0, c0) = (t / 2 * 2, t % 2 * 2);
-                        w.store_tile(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4]);
+                        w.store_tile_ex(t, r0..r0 + 2, c0..c0 + 2, 2, &[t as f64; 4], 1.0, 0.0);
                     });
                 }
             });

@@ -126,15 +126,11 @@ impl RangeQueue {
 /// per claim.
 ///
 /// This is the claim discipline [`CtaScheduler`] replaced on the
-/// single-launch hot path, promoted to a named type because three
-/// executors still *want* it: the grouped and batched paths (whose
-/// owners block in `wait_and_take`, so the round-robin interleave is
-/// what guarantees a blocked owner's peers are already claimed by
-/// other workers) and the serve layer (where each in-flight request
-/// carries its own cursor and fairness across claimants matters more
-/// than locality). Compared to the inline `AtomicUsize` each of those
-/// paths used to roll by hand, the cursor adds nothing but a bounds
-/// check and a name for the invariant.
+/// executor's grid loop (which now runs every single-launch entry:
+/// `gemm*`, batched, grouped and the Strassen burst). Only the serve
+/// layer still uses it: each in-flight request carries its own
+/// cursor, and fairness across claimants matters more there than
+/// locality.
 #[derive(Debug)]
 pub struct GridCursor {
     next: AtomicUsize,

@@ -14,11 +14,13 @@
 //!   quantize poorly one at a time; Stream-K's grouped decomposition
 //!   concatenates their iteration spaces and splits the *sum* evenly
 //!   across the grid, so the seven-product skew is absorbed by
-//!   construction. A **single-worker** executor has no skew to
-//!   absorb and the grouped grid would only pay per-instance setup,
-//!   so it runs the leaves back-to-back through the classical
-//!   single-launch path instead — same leaves, same results, no
-//!   grouped overhead.
+//!   construction. The launch runs through the executor's one grid
+//!   loop, so the burst has `gemm`'s watchdog recovery, spans and
+//!   [`ExecStats`](crate::ExecStats). A **single-worker** executor
+//!   has no skew to absorb and the grouped grid would only pay
+//!   per-instance setup, so it runs the leaves back-to-back through
+//!   the classical single-launch path instead — same leaves, same
+//!   results, no grouped overhead.
 //! - **Service path** ([`GemmService::gemm_strassen`]): the same
 //!   leaves go in as one atomically-admitted request group
 //!   ([`GemmService::submit_group`]) and complete as a unit through
@@ -61,7 +63,7 @@ use crate::executor::CpuExecutor;
 use crate::fault::FaultPlan;
 use crate::serve::{AdmissionError, GemmService, GroupError, LaunchRequest};
 use std::collections::HashMap;
-use streamk_core::{Decomposition, GroupedDecomposition, GroupedSpace, TileFixup};
+use streamk_core::{Decomposition, GroupedDecomposition, GroupedSpace};
 use streamk_matrix::{Matrix, Promote, Scalar};
 use streamk_types::{GemmShape, Layout, TileShape};
 
@@ -628,20 +630,12 @@ fn recombine<Acc: Scalar>(
 }
 
 /// The Stream-K decomposition a leaf sub-product runs under on the
-/// service path (the direct path uses one grouped grid instead).
-/// Falls back to data-parallel when the Stream-K fixup structure
-/// would need more co-resident CTAs than `workers` — the same
-/// residency guard every other entry point applies.
+/// service path (the direct path uses one grouped grid instead): a
+/// grid of exactly `workers` CTAs, so no tile can have more covering
+/// CTAs than there are workers and the residency guard always holds.
 #[must_use]
 pub fn leaf_decomposition(shape: GemmShape, tile: TileShape, workers: usize) -> Decomposition {
-    let workers = workers.max(1);
-    let d = Decomposition::stream_k(shape, tile, workers);
-    let max_cover = d.fixups().iter().map(TileFixup::covering_ctas).max().unwrap_or(1);
-    if max_cover > workers {
-        Decomposition::data_parallel(shape, tile)
-    } else {
-        d
-    }
+    Decomposition::stream_k(shape, tile, workers.max(1))
 }
 
 fn round_up(v: usize, to: usize) -> usize {
@@ -782,17 +776,10 @@ impl CpuExecutor {
             let leaf = leaf_decomposition(plan.leaf_shape, tile, 1);
             a_ops.iter().zip(&b_ops).map(|(la, lb)| self.gemm(la, lb, &leaf)).collect()
         } else {
-            let shapes: Vec<GemmShape> = vec![plan.leaf_shape; a_ops.len()];
+            // A grid of exactly `threads` CTAs: no tile can have more
+            // covering CTAs than there are workers.
             let space = GroupedSpace::uniform(plan.leaf_shape, a_ops.len(), tile);
-            let decomp = GroupedDecomposition::stream_k(space, self.threads());
-            let max_cover =
-                decomp.fixups().iter().map(TileFixup::covering_ctas).max().unwrap_or(1);
-            let decomp = if max_cover > self.threads() {
-                GroupedDecomposition::data_parallel(GroupedSpace::new(&shapes, tile))
-            } else {
-                decomp
-            };
-            self.gemm_grouped(&a_ops, &b_ops, &decomp)
+            self.gemm_grouped(&a_ops, &b_ops, &GroupedDecomposition::stream_k(space, self.threads()))
         };
         for op in a_ops.into_iter().chain(b_ops) {
             arena.inputs.recycle(op.into_vec());
@@ -1038,6 +1025,21 @@ mod tests {
         let err = c.max_abs_diff(&reference);
         assert!(err <= bound, "err {err} exceeds bound {bound}");
         assert!(err > 0.0 || shape.k < 4, "hybrid should differ from classical in the last bits");
+    }
+
+    /// The direct burst runs through the executor's grid loop, so a
+    /// traced executor records one CTA span per CTA of its
+    /// `threads`-wide grid.
+    #[test]
+    fn direct_burst_is_traced_by_the_grid_loop() {
+        let e = CpuExecutor::with_threads(2).with_trace(true);
+        let (a, b) = operands(GemmShape::new(64, 64, 64), 41);
+        let cfg = StrassenConfig::enabled().with_cutoff(32).with_max_depth(1);
+        let (_, report): (Matrix<f32>, _) = e.gemm_strassen(&a, &b, TileShape::new(16, 16, 8), &cfg);
+        assert!(!report.fell_back);
+        let trace = e.last_trace().expect("the burst is traced");
+        let spans = trace.workers.iter().flat_map(|w| &w.spans);
+        assert_eq!(spans.filter(|s| s.kind == streamk_core::SpanKind::Cta).count(), e.threads());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Strategy as _;
 use std::time::Duration;
-use streamk_core::{Decomposition, Strategy};
+use streamk_core::{Decomposition, GroupedDecomposition, GroupedSpace, Strategy, TileFixup};
 use streamk_cpu::{CpuExecutor, FaultKind, FaultPlan, WorkerPool};
 use streamk_matrix::reference::gemm_naive;
 use streamk_matrix::Matrix;
@@ -34,8 +34,8 @@ fn operands(shape: GemmShape, seed: u64) -> (Matrix<f64>, Matrix<f64>) {
 }
 
 /// The widest owner+peers group — the executor's residency floor.
-fn residency_floor(decomp: &Decomposition) -> usize {
-    decomp.fixups().iter().map(|f| f.covering_ctas()).max().unwrap_or(1)
+fn residency_floor(fixups: &[TileFixup]) -> usize {
+    fixups.iter().map(TileFixup::covering_ctas).max().unwrap_or(1)
 }
 
 fn shapes() -> impl proptest::strategy::Strategy<Value = GemmShape> {
@@ -57,21 +57,45 @@ proptest! {
 
     /// Any strategy, any shape, every admissible worker count: the
     /// f64 output is bit-identical no matter how CTAs were claimed,
-    /// stolen, or deferred.
+    /// stolen, or deferred. A grouped launch (the shape plus its
+    /// transpose-shaped sibling on one Stream-K grid) rides along.
     #[test]
     fn output_is_bit_exact_across_thread_counts(
         shape in shapes(),
         strategy in strategies(),
+        group_grid in 2usize..9,
     ) {
         let decomp = Decomposition::from_strategy(shape, TILE, strategy);
-        let floor = residency_floor(&decomp);
+        let floor = residency_floor(&decomp.fixups());
         let mut baseline: Option<Matrix<f64>> = None;
         let (a, b) = operands(shape, 7);
+        let sibling = GemmShape::new(shape.n, shape.m, shape.k);
+        let (a2, b2) = operands(sibling, 9);
+        let (ga, gb) = ([a.clone(), a2], [b.clone(), b2]);
+        let group = GroupedDecomposition::stream_k(GroupedSpace::new(&[shape, sibling], TILE), group_grid);
+        let group_floor = residency_floor(&group.fixups());
+        let mut group_baseline: Option<Vec<Matrix<f64>>> = None;
         for threads in [1, 2, 3, 4, 8] {
+            let exec = CpuExecutor::with_threads(threads);
+            if threads >= group_floor {
+                let c = exec.gemm_grouped::<f64, f64>(&ga, &gb, &group);
+                match &group_baseline {
+                    None => {
+                        for (i, ci) in c.iter().enumerate() {
+                            ci.assert_close(&gemm_naive::<f64, f64>(&ga[i], &gb[i]), 1e-10);
+                        }
+                        group_baseline = Some(c);
+                    }
+                    Some(base) => {
+                        for (ci, bi) in c.iter().zip(base) {
+                            prop_assert_eq!(ci.max_abs_diff(bi), 0.0, "grouped threads={}", threads);
+                        }
+                    }
+                }
+            }
             if threads < floor {
                 continue;
             }
-            let exec = CpuExecutor::with_threads(threads);
             let c = exec.gemm::<f64, f64>(&a, &b, &decomp);
             match &baseline {
                 None => {
@@ -88,6 +112,7 @@ proptest! {
             }
         }
         prop_assert!(baseline.is_some(), "at least one worker count must be admissible");
+        prop_assert!(group_baseline.is_some(), "at least one worker count must admit the group");
     }
 
     /// The layout matrix: worker count × operand layout × pack-cache
@@ -103,7 +128,7 @@ proptest! {
         strategy in strategies(),
     ) {
         let decomp = Decomposition::from_strategy(shape, TILE, strategy);
-        let floor = residency_floor(&decomp);
+        let floor = residency_floor(&decomp.fixups());
         let (a, b) = operands(shape, 11);
         let mut baseline: Option<Matrix<f64>> = None;
         for threads in [1, 2, 4, 8] {

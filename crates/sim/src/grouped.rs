@@ -41,8 +41,7 @@ pub fn simulate_grouped_with_efficiency(
         .ctas()
         .iter()
         .map(|cta| {
-            let segs = space.segments(cta);
-            match segs.first() {
+            match space.segments(cta).next() {
                 None => CtaFacts { iters: 0, contributes: false, first_seg_iters: 0 },
                 Some(seg) => CtaFacts {
                     iters: cta.len(),
